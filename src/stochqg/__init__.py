@@ -42,7 +42,6 @@ from .forcing import (  # noqa: F401
     advance_ou,
     build_forcing,
     init_ou_state,
-    lift_at,
     load_noise_path,
     make_noise_model,
     make_noise_path,

@@ -18,7 +18,7 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,18 +144,14 @@ def leading_real_modes(ctx: OperatorContext, count: int) -> list[tuple[int, int,
     """The `count` lowest-eigenvalue real A-modes (m, l, k, kind)."""
     grid = ctx.grid
     cands = []
-    kmax_x = (grid.nx - 1) // 3
-    kmax_y = (grid.ny - 1) // 3
     for m in range(grid.nz):
-        for k in range(0, kmax_x + 1):
-            lrange = range(0, kmax_y + 1) if k == 0 else range(-kmax_y, kmax_y + 1)
-            for l in lrange:
-                if (m, l, k) == (0, 0, 0):
-                    continue
-                lam = ctx.vop.mu[m] + k * k + l * l
-                kinds = ("cos",) if (k == 0 and l == 0) else ("cos", "sin")
-                for kind in kinds:
-                    cands.append((lam, m, l, k, kind))
+        for k, l in grid.half_plane():
+            if (m, l, k) == (0, 0, 0):
+                continue
+            lam = ctx.vop.mu[m] + k * k + l * l
+            kinds = ("cos",) if (k == 0 and l == 0) else ("cos", "sin")
+            for kind in kinds:
+                cands.append((lam, m, l, k, kind))
     cands.sort(key=lambda c: (c[0], c[1], c[3], c[2], c[4]))
     if count > len(cands):
         raise ValueError("not enough resolvable modes")
@@ -257,11 +253,7 @@ def cocycle_check(ctx: OperatorContext, forcing: ForcingSetup, s: float, t: floa
 
     full = run(forcing, x, 0.0, s + t)
     mid = run(forcing, x, 0.0, s)
-    shifted = shift_path(forcing.path, s)
-    forcing_s = ForcingSetup(model=forcing.model, periodic=forcing.periodic,
-                             path=shifted, lifts=forcing.lifts, basis=forcing.basis,
-                             periodic_lift=forcing.periodic_lift, entries=forcing.entries)
-    second = run(forcing_s, mid, 0.0, t)
+    second = run(replace(forcing, path=shift_path(forcing.path, s)), mid, 0.0, t)
     return norm_h(ctx, full - second)
 
 
@@ -279,13 +271,8 @@ def invariance_check(estimate: AttractorEstimate, ctx: OperatorContext,
     else:
         flowed = [simulate(ctx, forcing, u, 0.0, t, dt, record_diagnostics=False).final.u
                   for u in a_now]
-    cfg_t = estimate.config
-    est_t = pullback_run(PullbackConfig(horizons=(T,), ensemble=cfg_t.ensemble,
-                                        sampling_rule=cfg_t.sampling_rule,
-                                        leading_modes=cfg_t.leading_modes,
-                                        phase=cfg_t.phase, seed=cfg_t.seed,
-                                        quad_horizon=cfg_t.quad_horizon),
-                         ctx, forcing, dt, observe_at=t)
+    est_t = pullback_run(replace(estimate.config, horizons=(T,)), ctx, forcing, dt,
+                         observe_at=t)
     return dist_h(ctx, flowed, est_t.endpoints[T])
 
 

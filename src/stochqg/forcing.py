@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lift import BoundaryFlux, BoundaryMode, LiftField, boundary_modes, precompute_mode_lifts, solve_lift
+from .lift import BoundaryFlux, BoundaryMode, LiftField, boundary_modes, mode_flux, solve_lift
 from .operators import OperatorContext, norm_h
-from .spectral import Grid, VerticalOperator
+from .spectral import Grid, VerticalOperator, unit_mode_coef
 
 _NS_INCREMENTS = 0
 _NS_INIT = 1
@@ -221,15 +221,25 @@ def save_noise_path(path: NoisePath, fname) -> None:
         fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 
+def check_byte_count(fname, what: str, expected: int, actual: int) -> None:
+    """Reject a truncated or padded file section with a ValueError."""
+    if actual != expected:
+        raise ValueError(f"{fname}: {what} has {actual} bytes, expected {expected}")
+
+
 def load_noise_path(fname) -> NoisePath:
     with open(fname, "rb") as fh:
-        magic, version, seed, n_modes, dt_noise, t_min, t_max = _HEADER.unpack(fh.read(_HEADER.size))
+        raw = fh.read(_HEADER.size)
+        check_byte_count(fname, "noise-path header", _HEADER.size, len(raw))
+        magic, version, seed, n_modes, dt_noise, t_min, t_max = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"not a noise-path file (magic {magic!r})")
         if version != _FILE_VERSION:
             raise ValueError(f"unsupported noise-path version {version}")
         n_steps = round((t_max - t_min) / dt_noise)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n_modes, n_steps).copy()
+        payload = fh.read()
+    check_byte_count(fname, "noise-path payload", n_modes * n_steps * 8, len(payload))
+    data = np.frombuffer(payload, dtype="<f8").reshape(n_modes, n_steps).copy()
     return NoisePath(seed=seed, n_modes=n_modes, dt_noise=dt_noise,
                      i0_abs=round(t_min / dt_noise), n_steps=n_steps, _stored=data)
 
@@ -307,73 +317,49 @@ def periodic_factor(periodic: PeriodicFlux, step_index: int, dt: float) -> float
     return float(np.sin(2.0 * np.pi * (step_index * dt + periodic.phase)))
 
 
-def stack_lifts(lifts: Sequence[LiftField]) -> np.ndarray:
-    return np.stack([l.coef for l in lifts]) if len(lifts) else np.zeros((0, 1, 1, 1), dtype=complex)
-
-
-def lift_at(state: OUBoundaryState, periodic: PeriodicFlux, model: NoiseModel,
-            lifts, periodic_lift=None, grid: Grid | None = None,
-            vop: VerticalOperator | None = None, step_index: int | None = None,
-            dt: float | None = None) -> np.ndarray:
-    """Harmonic lift at time t = step_index * dt (default: the OU gridpoint).
-
-    lift(t) = sum_i sqrt(q_i) zeta_i l_i + sin(2pi (t + phase)) G~(u0); the
-    stochastic part is sample-held at the state's gridpoint.
-    """
-    basis = lifts if isinstance(lifts, np.ndarray) else stack_lifts(lifts)
-    if basis.shape[0] != model.n_modes:
-        raise ValueError(f"{basis.shape[0]} precomputed lifts for {model.n_modes} modes")
-    if periodic_lift is None:
-        if grid is None or vop is None:
-            raise ValueError("periodic_lift or (grid, vop) required")
-        periodic_lift = solve_lift(grid, vop, periodic.u0).coef
-    else:
-        periodic_lift = getattr(periodic_lift, "coef", periodic_lift)
-    if step_index is None:
-        step_index, dt = state.j, state.dt_noise
-    factor = periodic_factor(periodic, step_index, dt)
-    out = factor * periodic_lift
-    if model.n_modes:
-        out = out + np.tensordot(np.sqrt(model.q) * state.zeta, basis, axes=(0, 0))
-    return out
-
-
 @dataclass(frozen=True)
 class ForcingSetup:
     """Precomputed bundle consumed by the integrator and the attractor lab.
 
-    ``entries`` is the sparse form of the lift basis: per mode, the nonzero
-    columns (li, ki) with their vertical profiles, so assembling the lift
-    touches only those columns instead of the dense basis.
+    ``model``: boundary-noise covariance weights and correlation time.
+    ``periodic``: the deterministic top-face flux u0 sin(2pi (t + phase)).
+    ``path``: the stored noise path that drives the OU state.
+    ``periodic_lift``: G~(u0), the dense (nz, ny, nkx) lift of u0.
+    ``entries``: the mode-lift basis; per mode, its nonzero columns as
+    (li, ki, profile) triples.
     """
 
     model: NoiseModel
     periodic: PeriodicFlux
     path: NoisePath
-    lifts: tuple[LiftField, ...]
-    basis: np.ndarray          # (n_modes, nz, ny, nkx)
-    periodic_lift: np.ndarray  # (nz, ny, nkx)
-    entries: tuple = ()        # per mode: ((li, ki, profile), ...)
+    periodic_lift: np.ndarray
+    entries: tuple
 
 
 def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
                   periodic: PeriodicFlux, path: NoisePath) -> ForcingSetup:
-    lifts = tuple(precompute_mode_lifts(grid, vop, model.n_modes))
-    basis = stack_lifts(lifts) if lifts else np.zeros((0, grid.nz, grid.ny, grid.nkx), dtype=complex)
-    plift = solve_lift(grid, vop, periodic.u0).coef
+    if model.n_modes != path.n_modes:
+        raise ValueError(f"noise model has {model.n_modes} modes, path has {path.n_modes}")
     entries = []
-    for lf in lifts:
-        cols = np.argwhere(np.any(lf.coef != 0.0, axis=0))
-        entries.append(tuple((int(li), int(ki), lf.coef[:, li, ki].copy())
+    for mode in model.modes:
+        # Keep only the nonzero columns; the dense lift is dropped per mode.
+        coef = solve_lift(grid, vop, mode_flux(grid, mode)).coef
+        cols = np.argwhere(np.any(coef != 0.0, axis=0))
+        entries.append(tuple((int(li), int(ki), coef[:, li, ki].copy())
                              for li, ki in cols))
     return ForcingSetup(model=model, periodic=periodic, path=path,
-                        lifts=lifts, basis=basis, periodic_lift=plift,
+                        periodic_lift=solve_lift(grid, vop, periodic.u0).coef,
                         entries=tuple(entries))
 
 
 def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
                step_index: int | None = None, dt: float | None = None) -> np.ndarray:
-    """Fast sparse-assembled lift; same combination as lift_at."""
+    """Harmonic lift at t = step_index * dt (default: the OU gridpoint).
+
+    lift(t) = sum_i sqrt(q_i) zeta_i l_i + sin(2pi (t + phase)) G~(u0),
+    assembled on the nonzero columns of each l_i; the stochastic part is
+    sample-held at the state's gridpoint.
+    """
     if step_index is None:
         step_index, dt = state.j, state.dt_noise
     factor = periodic_factor(setup.periodic, step_index, dt)
@@ -443,9 +429,7 @@ def _lift_profile(lift: LiftField, grid: Grid, mode: BoundaryMode) -> np.ndarray
     """
     li = mode.l % grid.ny
     col = lift.coef[:, li, mode.k]
-    amp = 1.0 / (2.0 * np.pi * np.sqrt(2.0))
-    c = amp if mode.kind == "cos" else -1j * amp
-    return (col / c).real
+    return (col / unit_mode_coef(mode.kind)).real
 
 
 def temperedness_series(ctx: OperatorContext, setup: ForcingSetup, horizon: float,

@@ -24,13 +24,16 @@ absorbing ball.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .forcing import ForcingSetup, OUBoundaryState, advance_ou, init_ou_state, setup_lift
+from .forcing import (ForcingSetup, OUBoundaryState, advance_ou, check_byte_count,
+                      init_ou_state, setup_lift)
 from .operators import (
     OperatorContext,
     apply_G,
@@ -40,11 +43,27 @@ from .operators import (
     norms,
     to_modes,
 )
-from .spectral import Grid, forward_transform, inverse_transform, project_mean_zero
+from .spectral import Grid, forward_transform, inverse_transform, mean_defect, project_mean_zero
 
 _SNAP_MAGIC = b"SQGSNAP1"
 _SNAP_HEADER = struct.Struct("<8sIIIIIqdd16s16s")
 _SNAP_VERSION = 1
+
+
+@functools.cache
+def _keep_step_memory() -> None:
+    """Fix glibc's heap thresholds so stepping reuses freed pages.
+
+    A step frees dozens of field-sized temporaries.  glibc's default
+    thresholds follow the largest block freed so far, so each step would
+    return pages to the system and fault them in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free heap
 
 
 class CFLViolation(RuntimeError):
@@ -218,15 +237,14 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     by rounding-level amounts, which would break the bitwise cocycle identity
     when a run is split into legs.
     """
+    _keep_step_memory()
     path = forcing.path
     m = steps_per_noise(dt, path.dt_noise)
     n0 = round(t0 / dt)
     if abs(n0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0={t0} is not on the step grid")
     u0 = np.asarray(u0, dtype=complex)
-    scale = float(np.max(np.abs(u0))) or 1.0
-    mean = (ctx.zw @ u0[:, 0, 0]) / ctx.zw.sum()
-    if abs(mean) > 1e-14 * scale:
+    if mean_defect(u0, ctx.zw) > 1e-14:
         u0 = project_mean_zero(ctx.grid, u0, ctx.zw)
     else:
         u0 = u0.copy()
@@ -329,12 +347,15 @@ def save_snapshot(fname, grid: Grid, u: np.ndarray, t: float, n: int, dt: float,
 def load_snapshot(fname):
     with open(fname, "rb") as fh:
         raw = fh.read(_SNAP_HEADER.size)
+        check_byte_count(fname, "snapshot header", _SNAP_HEADER.size, len(raw))
         magic, version, nx, ny, nz, flags, n, dt, t, chash, cver = _SNAP_HEADER.unpack(raw)
         if magic != _SNAP_MAGIC:
             raise ValueError(f"not a snapshot file (magic {magic!r})")
         if version != _SNAP_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(ny, nx // 2 + 1, nz)
+        payload = fh.read()
+    check_byte_count(fname, "snapshot payload", ny * (nx // 2 + 1) * nz * 16, len(payload))
+    data = np.frombuffer(payload, dtype="<c16").reshape(ny, nx // 2 + 1, nz)
     meta = dict(nx=nx, ny=ny, nz=nz, flags=flags, n=n, dt=dt, t=t,
                 config_hash=chash.rstrip(b"\0").decode(),
                 code_version=cver.rstrip(b"\0").decode())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .spectral import Grid, VerticalOperator
+from .spectral import Grid, VerticalOperator, unit_mode_coef
 
 _COS, _SIN = "cos", "sin"
 
@@ -59,15 +59,9 @@ class BoundaryMode:
 
 def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
     """The first n_modes real boundary-basis modes inside the dealias band."""
-    kmax_x = (grid.nx - 1) // 3
-    kmax_y = (grid.ny - 1) // 3
-    modes = []
-    for k in range(0, kmax_x + 1):
-        lrange = range(1, kmax_y + 1) if k == 0 else range(-kmax_y, kmax_y + 1)
-        for l in lrange:
-            for phase in (0, 1):
-                modes.append(BoundaryMode(k * k + l * l, k, l, phase))
-    modes.sort()
+    modes = sorted(BoundaryMode(k * k + l * l, k, l, phase)
+                   for k, l in grid.half_plane() if (k, l) != (0, 0)
+                   for phase in (0, 1))
     if n_modes > len(modes):
         raise ValueError(f"requested {n_modes} boundary modes, only {len(modes)} available")
     return modes[:n_modes]
@@ -76,8 +70,7 @@ def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
 def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:
     """Unit-L2(top face) coefficients of a real boundary mode."""
     coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
-    amp = 1.0 / (2.0 * np.pi * np.sqrt(2.0))
-    c = amp if mode.kind == _COS else -1j * amp
+    c = unit_mode_coef(mode.kind)
     li = mode.l % grid.ny
     coef[li, mode.k] = c
     if mode.k == 0:
@@ -87,17 +80,9 @@ def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:
 
 def _banded(vop: VerticalOperator, kh2: float) -> np.ndarray:
     """Upper banded form of A_z + kh2 * W (symmetric positive definite)."""
-    nz = vop.nz
-    dz = vop.dz
-    F = vop.profile.f_of_z
-    fh = 0.5 * (F[:-1] + F[1:])
-    diag = np.zeros(nz)
-    diag[:-1] += fh / dz
-    diag[1:] += fh / dz
-    diag += kh2 * vop.weights
-    ab = np.zeros((2, nz))
-    ab[0, 1:] = -fh / dz
-    ab[1, :] = diag
+    ab = np.zeros((2, vop.nz))
+    ab[0, 1:] = vop.stiff_off
+    ab[1, :] = vop.stiff_diag + kh2 * vop.weights
     return ab
 
 
@@ -163,8 +148,6 @@ def recovered_top_flux(grid: Grid, vop: VerticalOperator, lift: LiftField) -> np
     stencil's order.
     """
     coef = lift.coef
-    F = vop.profile.f_of_z
-    fh_top = 0.5 * (F[-2] + F[-1])
     kh2 = grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2
-    one_sided = fh_top * (coef[-1] - coef[-2]) / vop.dz
+    one_sided = -vop.stiff_off[-1] * (coef[-1] - coef[-2])
     return (one_sided + vop.weights[-1] * kh2 * coef[-1]) / vop.f_top

@@ -33,7 +33,9 @@ from .spectral import (
     compute_lambda1,
     forward_transform,
     inverse_transform,
+    mean_defect,
     project_mean_zero,
+    unit_mode_coef,
 )
 
 MEAN_ZERO_TOL = 1e-8
@@ -139,10 +141,9 @@ def from_modes(ctx: OperatorContext, c: np.ndarray) -> np.ndarray:
 
 
 def _require_mean_zero(ctx, u, what):
-    scale = float(np.max(np.abs(u))) or 1.0
-    mean = (ctx.zw @ u[:, 0, 0]) / ctx.zw.sum()
-    if abs(mean) > MEAN_ZERO_TOL * scale:
-        raise ValueError(f"{what} must be mean-zero (defect {abs(mean):.3e})")
+    defect = mean_defect(u, ctx.zw)
+    if defect > MEAN_ZERO_TOL:
+        raise ValueError(f"{what} must be mean-zero (relative defect {defect:.3e})")
 
 
 def apply_A(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
@@ -300,8 +301,7 @@ def unit_eigenmode(ctx: OperatorContext, m: int, l: int, k: int, kind: str = "co
             raise ValueError("the (l, k) = (0, 0) column has no sine mode")
         u[:, 0, 0] = prof / (2.0 * np.pi)
         return u
-    amp = 1.0 / (2.0 * np.pi * np.sqrt(2.0))
-    coef = amp if kind == "cos" else -1j * amp
+    coef = unit_mode_coef(kind)
     u[:, li, k] = coef * prof
     if k == 0:
         u[:, (-l) % grid.ny, 0] = np.conj(coef) * prof

@@ -7,6 +7,8 @@ contracts; the full property suite lives in the package's pytest tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .forcing import advance_ou, init_ou_state, setup_lift, shift_path, ForcingSetup
@@ -111,21 +113,15 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
         tshift = t_anchor + 8 * path.dt_noise
         l_t = setup_lift(forcing, init_ou_state(model, path, tshift))
         sh = shift_path(path, tshift)
-        forcing_sh = ForcingSetup(model=model, periodic=forcing.periodic, path=sh,
-                                  lifts=forcing.lifts, basis=forcing.basis,
-                                  periodic_lift=forcing.periodic_lift,
-                                  entries=forcing.entries)
-        l_0 = setup_lift(forcing_sh, init_ou_state(model, sh, 0.0))
+        l_0 = setup_lift(replace(forcing, path=sh), init_ou_state(model, sh, 0.0))
         check("lift shift consistency bitwise", np.array_equal(l_t, l_0))
 
     # Integrator contracts (on the step grid of the config).
     dt = forcing.path.dt_noise
     u0 = unit_eigenmode(ctx, 1, 1, 0)
     lam = eigenvalue_of(ctx, 1, 1, 0)
-    zero_forcing = ForcingSetup(model=model, periodic=forcing.periodic,
-                                path=path, lifts=forcing.lifts, basis=forcing.basis,
-                                periodic_lift=np.zeros_like(forcing.periodic_lift),
-                                entries=tuple(() for _ in forcing.entries))
+    zero_forcing = replace(forcing, periodic_lift=np.zeros_like(forcing.periodic_lift),
+                           entries=tuple(() for _ in forcing.entries))
     st = initial_state(ctx, zero_forcing, u0, path.t_min, dt)
     st1 = step(st, dt, ctx, zero_forcing, linear_only=True)
     decay_err = np.max(np.abs(st1.u - np.exp(-ctx.nu * lam * dt) * u0))

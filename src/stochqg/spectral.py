@@ -117,10 +117,23 @@ class Grid:
         return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
 
     @property
+    def kmax(self) -> tuple[int, int]:
+        """Largest |kx|, |ky| inside the dealias band."""
+        return tuple((n - 1) // 3 for n in (self.nx, self.ny))
+
+    @property
     def dealias_mask(self) -> np.ndarray:
-        kmax_x = (self.nx - 1) // 3
-        kmax_y = (self.ny - 1) // 3
+        kmax_x, kmax_y = self.kmax
         return (np.abs(self.ky)[:, None] <= kmax_y) & (self.kx[None, :] <= kmax_x)
+
+    def half_plane(self) -> list[tuple[int, int]]:
+        """(k, l) of the dealias band with k > 0, or k == 0 and l >= 0.
+
+        One wavevector per conjugate pair, (0, 0) included.
+        """
+        kmax_x, kmax_y = self.kmax
+        return [(k, l) for k in range(kmax_x + 1)
+                for l in range(0 if k == 0 else -kmax_y, kmax_y + 1)]
 
     @property
     def column_weight(self) -> np.ndarray:
@@ -143,8 +156,9 @@ class Grid:
 class VerticalOperator:
     """Discrete L = -(F(z) d/dz .)' with homogeneous Neumann ends.
 
-    ``diag``/``offdiag`` hold the symmetric tridiagonal matrix
-    M = W^(1/2) L W^(-1/2) (W = trapezoid weights); its eigenpairs give
+    ``stiff_diag``/``stiff_off`` hold the tridiagonal stiffness matrix A_z,
+    so L = W^-1 A_z (W = trapezoid weights).  ``diag``/``offdiag`` hold the
+    symmetric tridiagonal matrix M = W^(1/2) L W^(-1/2); its eigenpairs give
     L phi_m = mu_m phi_m with phi_m orthonormal under the level quadrature.
     ``action`` is the dense matrix of L on level values.
     """
@@ -153,6 +167,8 @@ class VerticalOperator:
     nz: int
     dz: float
     weights: np.ndarray          # (nz,) trapezoid weights
+    stiff_diag: np.ndarray       # (nz,) main diagonal of A_z
+    stiff_off: np.ndarray        # (nz-1,) off diagonal of A_z, -F_{j+1/2}/dz
     diag: np.ndarray             # (nz,) main diagonal of M
     offdiag: np.ndarray          # (nz-1,) off diagonal of M
     action: np.ndarray           # (nz, nz) dense action of L on level values
@@ -189,10 +205,11 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
     fh = 0.5 * (F[:-1] + F[1:])        # F at half levels
 
     # Stiffness matrix A_z (tridiagonal, rows sum to zero exactly).
+    stencil = fh / dz
     a_diag = np.zeros(nz)
-    a_diag[:-1] += fh / dz
-    a_diag[1:] += fh / dz
-    a_off = -fh / dz
+    a_diag[:-1] += stencil
+    a_diag[1:] += stencil
+    a_off = -stencil
 
     sqrtw = np.sqrt(w)
     m_diag = a_diag / w
@@ -220,6 +237,7 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
 
     return VerticalOperator(
         profile=profile, nz=nz, dz=dz, weights=w,
+        stiff_diag=a_diag, stiff_off=a_off,
         diag=m_diag, offdiag=m_off, action=action,
         mu=mu, yhat=yhat, phi=phi, sqrtw=sqrtw,
     )
@@ -251,20 +269,6 @@ def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
         raise ValueError(f"spectral shape {fhat.shape} does not match grid "
                          f"{(grid.nz, grid.ny, grid.nkx)}")
     return _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2)) * (grid.nx * grid.ny)
-
-
-def enforce_hermitian(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Symmetrize the kx=0 and kx=Nyquist columns so the field is real.
-
-    Interior columns are unconstrained in the rfft layout; only the two
-    self-conjugate columns need u(0, -l) = conj(u(0, l)).
-    """
-    out = fhat.copy()
-    for col in (0, grid.nkx - 1):
-        c = out[:, :, col]
-        sym = 0.5 * (c + np.conj(c[:, _flip_index(grid.ny)]))
-        out[:, :, col] = sym
-    return out
 
 
 def _flip_index(n: int) -> np.ndarray:
@@ -300,6 +304,17 @@ def domain_mean(grid: Grid, fhat: np.ndarray, weights: np.ndarray | None = None)
     return weighted_vertical_mean(w, fhat[:, 0, 0])
 
 
-def is_mean_zero(grid: Grid, fhat: np.ndarray, tol: float = 1e-10) -> bool:
+def mean_defect(fhat: np.ndarray, weights: np.ndarray) -> float:
+    """|Domain mean| of a field relative to its largest coefficient."""
     scale = float(np.max(np.abs(fhat))) or 1.0
-    return abs(domain_mean(grid, fhat)) <= tol * scale
+    return abs(weighted_vertical_mean(weights, fhat[:, 0, 0])) / scale
+
+
+def unit_mode_coef(kind: str):
+    """Stored rfft2 coefficient of the unit-L2 real wave cos/sin(kx + ly).
+
+    A unit mode on the (0, 2pi)^2 face has amplitude 1/(2pi sqrt2) per
+    conjugate side; the sine carries the factor -i.
+    """
+    amp = 1.0 / (2.0 * np.pi * np.sqrt(2.0))
+    return amp if kind == "cos" else -1j * amp

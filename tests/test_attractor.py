@@ -1,5 +1,7 @@
 """xi*, absorbing ball, cocycle, pullback ensembles, growth diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,11 +211,7 @@ class TestCocycle:
         # unshifted path equals running on the path shifted by one period.
         y = simulate(ctx, setup, x, 0.0, 1.0, DT, record_diagnostics=False).final.u
         a = simulate(ctx, setup, y, 0.0, 2.0, DT, record_diagnostics=False).final.u
-        from stochqg.forcing import ForcingSetup
-        shifted = ForcingSetup(model=setup.model, periodic=setup.periodic,
-                               path=shift_path(setup.path, 1.0), lifts=setup.lifts,
-                               basis=setup.basis, periodic_lift=setup.periodic_lift,
-                               entries=setup.entries)
+        shifted = dataclasses.replace(setup, path=shift_path(setup.path, 1.0))
         b = simulate(ctx, shifted, y, 0.0, 2.0, DT, record_diagnostics=False).final.u
         assert np.array_equal(a, b)
 

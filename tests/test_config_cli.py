@@ -149,6 +149,21 @@ class TestCLI:
         assert record["error"] == "config"
         assert "viscosity" in record["message"]
 
+    def test_truncated_noise_file_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "noise.bin"
+        assert main(["gen-noise", "--set", f"output.dir={tmp_path}",
+                     "--set", f"noise.file={target}",
+                     "--set", "noise.t_min=-2", "--set", "noise.t_max=2"]) == 0
+        target.write_bytes(target.read_bytes()[:20])
+        capsys.readouterr()
+        rc = main(["simulate", "--set", f"output.dir={tmp_path}",
+                   "--set", f"noise.file={target}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "setup"
+        assert "header has 20 bytes" in record["message"]
+
     def test_numerical_abort_exit_two(self, tmp_path, capsys):
         rc = main(["simulate", "--set", f"output.dir={tmp_path}",
                    "--set", "init.kind=eigenmode", "--set", "init.amplitude=500",

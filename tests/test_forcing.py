@@ -11,7 +11,6 @@ from stochqg.forcing import (
     extend_noise_path,
     init_ou_state,
     interior_ou_modes,
-    lift_at,
     load_noise_path,
     make_noise_model,
     make_noise_path,
@@ -22,7 +21,7 @@ from stochqg.forcing import (
     tail_slope,
     temperedness_series,
 )
-from stochqg.lift import BoundaryFlux, mode_flux, boundary_modes, precompute_mode_lifts
+from stochqg.lift import BoundaryFlux, mode_flux, boundary_modes, precompute_mode_lifts, solve_lift
 from stochqg.operators import norm_h
 
 H = 0.0625  # dyadic noise step, 16 per unit time
@@ -98,6 +97,19 @@ class TestNoisePath:
         fname.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError):
             load_noise_path(fname)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: raw[:20], "header has 20 bytes, expected 48"),
+        (lambda raw: raw[:-1], "payload has 95 bytes, expected 96"),
+        (lambda raw: raw + bytes(8), "payload has 104 bytes, expected 96"),
+    ], ids=["truncated-header", "truncated-payload", "padded-payload"])
+    def test_wrong_size_rejected(self, tmp_path, edit, match):
+        fname = tmp_path / "noise.bin"
+        save_noise_path(make_noise_path(99, 2, H, 0.0, 0.375), fname)  # 2 x 6 steps
+        fname.write_bytes(edit(fname.read_bytes()))
+        with pytest.raises(ValueError, match=match) as err:
+            load_noise_path(fname)
+        assert str(fname) in str(err.value)
 
 
 class TestInitOU:
@@ -235,21 +247,41 @@ class TestLiftAt:
     def test_single_mode_unit_state(self, grid, vop):
         model = make_noise_model(grid, 1, q0=1.0, p=0.0, tau_c=0.5)
         path = make_noise_path(5, 1, H, 0.0, 1.0)
-        lifts = precompute_mode_lifts(grid, vop, 1)
+        setup = build_forcing(grid, vop, model, unit_periodic(grid, 0.0), path)
         state = init_ou_state(model, path, 0.0)
         state = type(state)(zeta=np.ones(1), j=state.j, dt_noise=state.dt_noise)
-        periodic = unit_periodic(grid, 0.0)
-        lift = lift_at(state, periodic, model, lifts, grid=grid, vop=vop)
+        lift = setup_lift(setup, state)
         # q = (1 + kh2)^0 = 1 and zeta = 1: the lift is l_1 exactly.
-        assert np.array_equal(lift, lifts[0].coef)
+        assert np.array_equal(lift, precompute_mode_lifts(grid, vop, 1)[0].coef)
 
     def test_mode_count_mismatch(self, grid, vop):
         model = small_model(grid, n_modes=4)
-        path = make_noise_path(5, 4, H, 0.0, 1.0)
-        state = init_ou_state(model, path, 0.0)
-        lifts = precompute_mode_lifts(grid, vop, 2)
-        with pytest.raises(ValueError):
-            lift_at(state, unit_periodic(grid), model, lifts, grid=grid, vop=vop)
+        path = make_noise_path(5, 2, H, 0.0, 1.0)
+        with pytest.raises(ValueError, match="4 modes, path has 2"):
+            build_forcing(grid, vop, model, unit_periodic(grid), path)
+
+    def test_matches_dense_definition(self, grid, vop):
+        # Eight modes include the two k = 0 modes, whose lifts fill a
+        # conjugate pair of columns.
+        model = small_model(grid, n_modes=8, q0=0.3)
+        assert sum(m.k == 0 for m in model.modes) == 2
+        path = make_noise_path(5, 8, H, 0.0, 1.0)
+        periodic = unit_periodic(grid, 0.7, 0.1)
+        setup = build_forcing(grid, vop, model, periodic, path)
+        state = init_ou_state(model, path, 0.5)
+        zeta = np.random.default_rng(3).standard_normal(8)
+        state = type(state)(zeta=zeta, j=state.j, dt_noise=state.dt_noise)
+        lift = setup_lift(setup, state)
+
+        factor = periodic_factor(periodic, state.j, state.dt_noise)
+        assert factor != 0.0
+        dense = factor * solve_lift(grid, vop, periodic.u0).coef
+        for q, z, lf in zip(model.q, zeta, precompute_mode_lifts(grid, vop, 8)):
+            dense = dense + np.sqrt(q) * z * lf.coef
+        assert np.max(np.abs(lift - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+        held = sum(prof.nbytes for cols in setup.entries for _, _, prof in cols)
+        assert held <= model.n_modes * 2 * grid.nz * 16
 
     def test_shift_consistency_bitwise(self, grid, vop, ctx):
         model = small_model(grid, q0=0.05)

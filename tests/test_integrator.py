@@ -291,6 +291,19 @@ class TestSnapshotIO:
                       config_hash=meta["config_hash"], code_version=meta["code_version"])
         assert f.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: raw[:50], "header has 50 bytes, expected 84"),
+        (lambda raw: raw[:-16], "payload has 147952 bytes, expected 147968"),
+        (lambda raw: raw + bytes(16), "payload has 147984 bytes, expected 147968"),
+    ], ids=["truncated-header", "truncated-payload", "padded-payload"])
+    def test_wrong_size_rejected(self, ctx, grid, tmp_path, edit, match):
+        f = tmp_path / "snap.bin"
+        save_snapshot(f, grid, random_field(ctx, np.random.default_rng(47)), t=0.0, n=0, dt=H)
+        f.write_bytes(edit(f.read_bytes()))  # payload: 32 * 17 * 17 * 16 bytes
+        with pytest.raises(ValueError, match=match) as err:
+            load_snapshot(f)
+        assert str(f) in str(err.value)
+
     def test_diagnostics_csv(self, ctx, grid, vop, tmp_path):
         setup = forcing_for(grid, vop, amp=0.2)
         u0 = 0.1 * unit_eigenmode(ctx, 0, 1, 0)

@@ -141,20 +141,34 @@ def absorbing_ball(xi_star: float) -> float:
 
 
 def leading_real_modes(ctx: OperatorContext, count: int) -> list[tuple[int, int, int, str]]:
-    """The `count` lowest-eigenvalue real A-modes (m, l, k, kind)."""
+    """The `count` lowest-eigenvalue real A-modes (m, l, k, kind).
+
+    Ties are broken by (m, k, l, kind).  Only candidates that can rank among
+    the first `count` are enumerated: the vertically constant (m = 0) modes
+    alone give an upper bound on the `count`-th eigenvalue, and a mode's
+    eigenvalue is at least its mu_m and at least its k^2 + l^2.
+    """
     grid = ctx.grid
+    mu = ctx.vop.mu
+    plane = grid.half_plane()
+    n_total = grid.nz * (2 * len(plane) - 1) - 1  # (0, 0) has only cos; (0, 0, 0) is out
+    if count > n_total:
+        raise ValueError("not enough resolvable modes")
+    # The m = 0 modes: lam = k^2 + l^2 exactly, one cos and one sin per (k, l).
+    flat = sorted(k * k + l * l for k, l in plane if (k, l) != (0, 0))
+    bound = flat[(count - 1) // 2] if 0 < count <= 2 * len(flat) else np.inf
     cands = []
     for m in range(grid.nz):
-        for k, l in grid.half_plane():
-            if (m, l, k) == (0, 0, 0):
+        if mu[m] > bound:
+            continue
+        for k, l in plane:
+            if (m, l, k) == (0, 0, 0) or k * k + l * l > bound:
                 continue
-            lam = ctx.vop.mu[m] + k * k + l * l
+            lam = mu[m] + k * k + l * l
             kinds = ("cos",) if (k == 0 and l == 0) else ("cos", "sin")
             for kind in kinds:
                 cands.append((lam, m, l, k, kind))
     cands.sort(key=lambda c: (c[0], c[1], c[3], c[2], c[4]))
-    if count > len(cands):
-        raise ValueError("not enough resolvable modes")
     return [(m, l, k, kind) for (_, m, l, k, kind) in cands[:count]]
 
 

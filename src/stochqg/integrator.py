@@ -20,6 +20,10 @@ stored noise path.  Alongside u, the scalar comparison process
 is advanced by its exact affine update with the source held per step; xi
 bounds ||u||_H^2 along every run and its pullback limit xi* builds the
 absorbing ball.
+
+Each state carries a ``StepReport``: the values of that state which its own
+step and the run's diagnostics both need (vertical-mode coefficients, lift,
+xi source, norms, energy-budget terms), each computed once.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,15 +39,18 @@ from . import __version__
 from .forcing import (ForcingSetup, OUBoundaryState, advance_ou, check_byte_count,
                       init_ou_state, setup_lift)
 from .operators import (
+    Norms,
     OperatorContext,
     apply_G,
+    dealiased_product,
     deriv_x,
     from_modes,
     inner_h,
+    modal_norms,
     norms,
     to_modes,
 )
-from .spectral import Grid, forward_transform, inverse_transform, mean_defect, project_mean_zero
+from .spectral import Grid, inverse_transform, mean_defect, project_mean_zero
 
 _SNAP_MAGIC = b"SQGSNAP1"
 _SNAP_HEADER = struct.Struct("<8sIIIIIqdd16s16s")
@@ -79,15 +86,74 @@ class BlowupError(RuntimeError):
     """State left the theoretically absorbed region or became non-finite."""
 
 
+@dataclass(frozen=True, eq=False)
+class StepReport:
+    """Values of one state shared by the step from it and the run's diagnostics.
+
+    ``step`` makes the report of the state it returns.  The next step reads
+    ``modes``, ``lift``, ``vdual_liftx`` (its xi source) and ``efac``
+    instead of recomputing them; the diagnostics read ``h2``, ``norms``,
+    ``vdual_liftx`` and ``budget_terms``.  The last two are computed on
+    first use, so runs without diagnostics never pay for them.  A report
+    belongs to the exact ``u`` array, OU state and step index it was made
+    for, under one context, forcing and dt (see ``_report_for``).
+    ``cfl_limit`` is the advective dt limit found at the start of the step
+    that produced the state (inf when no step did, or the step was linear).
+    """
+
+    u: np.ndarray
+    ou: OUBoundaryState
+    n: int
+    ctx: OperatorContext
+    forcing: ForcingSetup
+    dt: float
+    efac: np.ndarray        # e^{-nu lam dt}
+    modes: np.ndarray       # to_modes(u)
+    lift: np.ndarray        # the lift at step n, its OU part held at ou
+    vdual_liftx: float      # ||lift_x||_{V'}
+    h2: float               # ||u||_H^2 = inner_h(u, u)
+    cfl_limit: float
+
+    @functools.cached_property
+    def norms(self) -> Norms:
+        return modal_norms(self.ctx, self.modes)
+
+    @functools.cached_property
+    def budget_terms(self) -> tuple[float, float, float]:
+        """(||u||_H^2, ||u||_V, <lift_x, u>): this state's energy-budget terms."""
+        return self.h2, self.norms.v, inner_h(self.ctx, deriv_x(self.ctx, self.lift), self.u)
+
+
+def _report(ctx: OperatorContext, forcing: ForcingSetup, dt: float, u: np.ndarray,
+            ou: OUBoundaryState, n: int, efac=None, h2=None,
+            cfl_limit: float = np.inf) -> StepReport:
+    """The report of state (u, ou, n); ``efac`` and ``h2`` are computed unless given."""
+    if efac is None:
+        efac = np.exp(-ctx.nu * ctx.lam * dt)
+    if h2 is None:
+        h2 = inner_h(ctx, u, u)
+    lift = _lift_at(forcing, ou, n, dt)
+    return StepReport(u=u, ou=ou, n=n, ctx=ctx, forcing=forcing, dt=dt, efac=efac,
+                      modes=to_modes(ctx, u), lift=lift,
+                      vdual_liftx=norms(ctx, deriv_x(ctx, lift)).vdual, h2=h2,
+                      cfl_limit=cfl_limit)
+
+
 @dataclass(frozen=True)
 class SimState:
-    """Flow state: transformed potential vorticity u, step count, OU state, xi."""
+    """Flow state: transformed potential vorticity u, step count, OU state, xi.
+
+    ``report`` holds values already computed for this state; it is used only
+    while it matches the state, so ``dataclasses.replace`` is safe.  ``u`` is
+    a value: modify a copy, not the array in place.
+    """
 
     u: np.ndarray
     n: int
     dt: float
     ou: OUBoundaryState
     xi: float
+    report: StepReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> float:
@@ -135,14 +201,8 @@ def _rhs(ctx: OperatorContext, u: np.ndarray, gu: np.ndarray, lift: np.ndarray,
     tendency = -ctx.beta * deriv_x(ctx, psi)
     if linear_only:
         return project_mean_zero(grid, tendency, ctx.zw), 0.0, 0.0
-    px = inverse_transform(grid, ctx.dxm_mult * psi)
-    py = inverse_transform(grid, ctx.dym_mult * psi)
-    ux = inverse_transform(grid, ctx.dxm_mult * u)
-    uy = inverse_transform(grid, ctx.dym_mult * u)
-    jhat = forward_transform(grid, px * uy - py * ux)
-    tendency = tendency - jhat * ctx.mask[None, :, :]
-    return (project_mean_zero(grid, tendency, ctx.zw),
-            float(np.max(np.abs(px))), float(np.max(np.abs(py))))
+    jhat, px_max, py_max = dealiased_product(ctx, psi, u)
+    return project_mean_zero(grid, tendency - jhat, ctx.zw), px_max, py_max
 
 
 def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
@@ -157,15 +217,37 @@ def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
     return lim
 
 
-def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
-    """Exact affine update of the energy-bound process, source held per step."""
+def _lift_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> np.ndarray:
+    """The lift at step n of a run with step dt, the OU part held at ``ou``."""
+    path = forcing.path
+    shift_steps = path.local_shift * steps_per_noise(dt, path.dt_noise)
+    return setup_lift(forcing, ou, step_index=n + shift_steps, dt=dt)
+
+
+def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -> float:
+    """``xi_step`` given the source's ||lift_x||_{V'} instead of the lift."""
     if xi < 0.0:
         raise ValueError("xi must be nonnegative")
     rate = ctx.nu * ctx.lambda1
-    coef = getattr(lift, "coef", lift)
-    src = (ctx.beta ** 2 / ctx.nu) * norms(ctx, deriv_x(ctx, coef)).vdual ** 2
+    src = (ctx.beta ** 2 / ctx.nu) * vdual_liftx ** 2
     e = np.exp(-rate * dt)
     return float(e * xi + (1.0 - e) / rate * src)
+
+
+def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
+    """Exact affine update of the energy-bound process, source held per step."""
+    coef = getattr(lift, "coef", lift)
+    return _xi_update(xi, norms(ctx, deriv_x(ctx, coef)).vdual, dt, ctx)
+
+
+def _report_for(state: SimState, ctx: OperatorContext, forcing: ForcingSetup,
+                dt: float) -> StepReport:
+    """The state's own report if it was made for exactly these inputs, else a new one."""
+    rep = state.report
+    if (rep is not None and rep.u is state.u and rep.ou is state.ou and rep.n == state.n
+            and rep.ctx is ctx and rep.forcing is forcing and rep.dt is dt):
+        return rep
+    return _report(ctx, forcing, dt, state.u, state.ou, state.n)
 
 
 def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup,
@@ -182,19 +264,17 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
         raise ValueError("step size differs from the state's clock")
     path = forcing.path
     m = steps_per_noise(dt, path.dt_noise)
-    n0, n1 = state.n, state.n + 1
-    shift_steps = path.local_shift * m
+    n1 = state.n + 1
+    rep0 = _report_for(state, ctx, forcing, dt)
+    efac = rep0.efac
 
-    c0 = to_modes(ctx, state.u)
+    c0 = rep0.modes
     gu0 = from_modes(ctx, -ctx.inv_lam * c0)
-    lift0 = setup_lift(forcing, state.ou, step_index=n0 + shift_steps, dt=dt)
-    r0, px_max, py_max = _rhs(ctx, state.u, gu0, lift0, linear_only)
-    if check_cfl and not linear_only:
-        limit = _cfl_limit(ctx, px_max, py_max)
-        if dt > limit:
-            raise CFLViolation(dt, limit)
+    r0, px_max, py_max = _rhs(ctx, state.u, gu0, rep0.lift, linear_only)
+    limit = _cfl_limit(ctx, px_max, py_max)
+    if check_cfl and not linear_only and dt > limit:
+        raise CFLViolation(dt, limit)
 
-    efac = np.exp(-ctx.nu * ctx.lam * dt)
     n0_modes = to_modes(ctx, r0)
 
     c_pred = efac * (c0 + dt * n0_modes)
@@ -205,7 +285,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.
-    lift1 = setup_lift(forcing, state.ou, step_index=n1 + shift_steps, dt=dt)
+    lift1 = _lift_at(forcing, state.ou, n1, dt)
     r1, _, _ = _rhs(ctx, u_pred, gu_pred, lift1, linear_only)
 
     j_new = _noise_index(n1, m) + path.local_shift
@@ -216,7 +296,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     c1 = efac * c0 + 0.5 * dt * (efac * n0_modes + to_modes(ctx, r1))
     u1 = project_mean_zero(ctx.grid, from_modes(ctx, c1), ctx.zw)
 
-    xi1 = xi_step(state.xi, lift0, dt, ctx)
+    xi1 = _xi_update(state.xi, rep0.vdual_liftx, dt, ctx)
 
     h2 = inner_h(ctx, u1, u1)
     if not np.isfinite(h2):
@@ -224,7 +304,8 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
         raise BlowupError(f"||u||_H exceeded 1e3*sqrt(2 xi) at t={n1 * dt:g}")
 
-    return SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1)
+    rep1 = _report(ctx, forcing, dt, u1, ou1, n1, efac=efac, h2=h2, cfl_limit=limit)
+    return SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1, report=rep1)
 
 
 def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
@@ -249,9 +330,10 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     else:
         u0 = u0.copy()
     ou = init_ou_state(forcing.model, path, _noise_index(n0, m) * path.dt_noise, init=init)
+    report = _report(ctx, forcing, dt, u0, ou, n0)
     if xi0 is None:
-        xi0 = inner_h(ctx, u0, u0)
-    return SimState(u=u0, n=n0, dt=dt, ou=ou, xi=float(xi0))
+        xi0 = report.h2
+    return SimState(u=u0, n=n0, dt=dt, ou=ou, xi=float(xi0), report=report)
 
 
 def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
@@ -276,22 +358,27 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     for k in range(n_steps):
         nxt = step(prev, dt, ctx, forcing, linear_only=linear_only, check_cfl=check_cfl)
         if record_diagnostics:
-            m = steps_per_noise(dt, forcing.path.dt_noise)
-            shift_steps = forcing.path.local_shift * m
-            lift_prev = setup_lift(forcing, prev.ou, step_index=prev.n + shift_steps, dt=dt)
-            lift_next = setup_lift(forcing, nxt.ou, step_index=nxt.n + shift_steps, dt=dt)
-            r = energy_budget(ctx, prev, nxt, lift_prev, lift_next)
-            nn = norms(ctx, nxt.u)
+            # Both states carry their reports, so each state's budget terms
+            # are computed once and serve the steps on either side of it.
+            r0 = _report_for(prev, ctx, forcing, dt)
+            r1 = _report_for(nxt, ctx, forcing, dt)
+            residual = _budget_residual(ctx, nxt.t - prev.t, r0.budget_terms, r1.budget_terms)
             diagnostics.append(DiagnosticsRecord(
-                t=nxt.t, h=nn.h, v=nn.v,
-                vdual_liftx=norms(ctx, deriv_x(ctx, lift_next)).vdual,
-                xi=nxt.xi, residual=r, dt=dt,
+                t=nxt.t, h=r1.norms.h, v=r1.norms.v, vdual_liftx=r1.vdual_liftx,
+                xi=nxt.xi, residual=residual, dt=dt,
             ))
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:
             snapshots.append((nxt.t, nxt.u.copy()))
         prev = nxt
     snapshots.append((prev.t, prev.u.copy()))
     return SimResult(final=prev, snapshots=snapshots, diagnostics=diagnostics)
+
+
+def _budget_residual(ctx: OperatorContext, dt: float, start, end) -> float:
+    """Residual from the (||u||_H^2, ||u||_V, <lift_x, u>) terms at a step's two ends."""
+    (h0, v0, flux0), (h1, v1, flux1) = start, end
+    return float((h1 - h0) + ctx.nu * (v0 ** 2 + v1 ** 2) * dt
+                 + ctx.beta * (flux0 + flux1) * dt)
 
 
 def energy_budget(ctx: OperatorContext, prev: SimState, nxt: SimState,
@@ -302,16 +389,12 @@ def energy_budget(ctx: OperatorContext, prev: SimState, nxt: SimState,
     residual is O(dt^3) per step (O(dt^2) accumulated) and insensitive to the
     energy-neutral operators B, C, D.
     """
-    dt = nxt.t - prev.t
-    lp = getattr(lift_prev, "coef", lift_prev)
-    ln = getattr(lift_next, "coef", lift_next)
-    h0 = inner_h(ctx, prev.u, prev.u)
-    h1 = inner_h(ctx, nxt.u, nxt.u)
-    v0 = norms(ctx, prev.u).v ** 2
-    v1 = norms(ctx, nxt.u).v ** 2
-    flux0 = inner_h(ctx, deriv_x(ctx, lp), prev.u)
-    flux1 = inner_h(ctx, deriv_x(ctx, ln), nxt.u)
-    return float((h1 - h0) + ctx.nu * (v0 + v1) * dt + ctx.beta * (flux0 + flux1) * dt)
+    def terms(u, lift):
+        lift = getattr(lift, "coef", lift)
+        return inner_h(ctx, u, u), norms(ctx, u).v, inner_h(ctx, deriv_x(ctx, lift), u)
+
+    return _budget_residual(ctx, nxt.t - prev.t, terms(prev.u, lift_prev),
+                            terms(nxt.u, lift_next))
 
 
 def reconstruct_streamfunction(ctx: OperatorContext, u: np.ndarray, lift):

@@ -65,7 +65,6 @@ class OperatorContext:
     action: np.ndarray     # (nz, nz) dense vertical operator on levels
     mask: np.ndarray       # (ny, nkx) dealias mask
     dx_mult: np.ndarray    # (1, 1, nkx) i*kx, Nyquist zeroed
-    dy_mult: np.ndarray    # (1, ny, 1) i*ky, Nyquist zeroed
     dxm_mult: np.ndarray   # (1, ny, nkx) dealiased i*kx
     dym_mult: np.ndarray   # (1, ny, nkx) dealiased i*ky
     yhat_t: np.ndarray     # contiguous transpose of yhat
@@ -102,7 +101,7 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
         kh2=kh2, lam=lam, inv_lam=inv_lam,
         colw=grid.column_weight, zw=grid.zweights, sqrtw=vop.sqrtw,
         yhat=vop.yhat, action=vop.action, mask=mask,
-        dx_mult=dx[None, None, :], dy_mult=dy[None, :, None],
+        dx_mult=dx[None, None, :],
         dxm_mult=(dx[None, :] * mask)[None, :, :],
         dym_mult=(dy[:, None] * mask)[None, :, :],
         yhat_t=np.ascontiguousarray(vop.yhat.T),
@@ -173,8 +172,23 @@ def deriv_x(ctx: OperatorContext, fhat: np.ndarray) -> np.ndarray:
     return ctx.dx_mult * fhat
 
 
-def deriv_y(ctx: OperatorContext, fhat: np.ndarray) -> np.ndarray:
-    return ctx.dy_mult * fhat
+def dealiased_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray):
+    """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b, with max |a_x|, max |a_y|.
+
+    The derivative multipliers carry the dealias mask, so only the band of a
+    and b enters the collocation product, and the product is masked to the
+    band again.  The gradient maxima of a bound the advective CFL number
+    when a is the streamfunction.  Returns (jhat, max |a_x|, max |a_y|);
+    jhat is not mean-zero projected.
+    """
+    grid = ctx.grid
+    ax = inverse_transform(grid, ctx.dxm_mult * a)
+    ay = inverse_transform(grid, ctx.dym_mult * a)
+    bx = inverse_transform(grid, ctx.dxm_mult * b)
+    by = inverse_transform(grid, ctx.dym_mult * b)
+    jhat = forward_transform(grid, ax * by - ay * bx)
+    return (jhat * ctx.mask[None, :, :],
+            float(np.max(np.abs(ax))), float(np.max(np.abs(ay))))
 
 
 def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
@@ -189,14 +203,7 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
     b = _as_spectral(ctx, _coef(b))
     if not (np.any(a) and np.any(b)):
         return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-    am = a * ctx.mask[None, :, :]
-    bm = b * ctx.mask[None, :, :]
-    ax = inverse_transform(grid, deriv_x(ctx, am))
-    ay = inverse_transform(grid, deriv_y(ctx, am))
-    bx = inverse_transform(grid, deriv_x(ctx, bm))
-    by = inverse_transform(grid, deriv_y(ctx, bm))
-    jhat = forward_transform(grid, ax * by - ay * bx)
-    jhat *= ctx.mask[None, :, :]
+    jhat, _, _ = dealiased_product(ctx, a, b)
     return project_mean_zero(grid, jhat, ctx.zw)
 
 
@@ -262,7 +269,11 @@ def norms(ctx: OperatorContext, u: np.ndarray) -> Norms:
     V^2 = <A u, u>, (V')^2 = <A^{-1} u, u> with the null mode excluded
     (u is assumed mean-zero for the dual norm).
     """
-    c = to_modes(ctx, u)
+    return modal_norms(ctx, to_modes(ctx, u))
+
+
+def modal_norms(ctx: OperatorContext, c: np.ndarray) -> Norms:
+    """The norms of ``norms`` from the vertical-mode coefficients c = to_modes(u)."""
     p = (c * np.conj(c)).real
     base = ctx.hfac * np.einsum("k,mlk->mlk", ctx.colw, p)
     h2 = float(np.sum(base))

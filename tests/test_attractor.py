@@ -33,6 +33,7 @@ from stochqg.forcing import (
 from stochqg.integrator import simulate, xi_step, steps_per_noise
 from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
 from stochqg.operators import build_context, inner_h, norm_h, unit_eigenmode
+from stochqg.spectral import Grid, build_vertical_operator, make_profile
 
 DT = 0.125  # dyadic step, 8 per unit time; noise grid equals the step grid
 
@@ -171,6 +172,34 @@ class TestSampling:
         lams = [ctx.vop.mu[m] + k * k + l * l for (m, l, k, _) in modes]
         assert lams == sorted(lams)
         assert (0, 0, 0, "cos") not in modes
+
+    @pytest.mark.parametrize("nx, nz", [(8, 5), (16, 9), (32, 17)])
+    @pytest.mark.parametrize("n_buoy", [1.0, 4.0])
+    def test_leading_modes_match_full_enumeration(self, nx, nz, n_buoy):
+        # n_buoy = 4 puts many vertical modes below the first horizontal one.
+        grid = Grid(nx, nx, nz)
+        ctx = build_context(grid, build_vertical_operator(make_profile(1.0, n_buoy, nz), nz),
+                            nu=0.5, beta=1.0)
+        n_all = len(_all_real_modes(ctx))
+        for count in (1, 5, 12, 40, n_all):
+            assert leading_real_modes(ctx, count) == _all_real_modes(ctx)[:count]
+        with pytest.raises(ValueError):
+            leading_real_modes(ctx, n_all + 1)
+
+
+def _all_real_modes(ctx):
+    """Reference order: every real A-mode, sorted as leading_real_modes ranks them."""
+    grid = ctx.grid
+    cands = []
+    for m in range(grid.nz):
+        for k, l in grid.half_plane():
+            if (m, l, k) == (0, 0, 0):
+                continue
+            lam = ctx.vop.mu[m] + k * k + l * l
+            for kind in (("cos",) if (k == 0 and l == 0) else ("cos", "sin")):
+                cands.append((lam, m, l, k, kind))
+    cands.sort(key=lambda c: (c[0], c[1], c[3], c[2], c[4]))
+    return [(m, l, k, kind) for (_, m, l, k, kind) in cands]
 
 
 class TestHausdorff:

@@ -1,7 +1,10 @@
-"""The benchmark's traced function names resolve on the package."""
+"""The benchmark's traced function names resolve, and a traced run reports them."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,27 @@ def _targets():
 @pytest.mark.parametrize("module, function", _targets())
 def test_traced_name_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"stochqg.{module}"), function))
+
+
+def test_traced_bench_run_smoke():
+    # A short traced sim64_diag run.  It must still see every stepper layer
+    # through the traced names, and each step's report must keep the
+    # per-step transform, lift and norm counts at their shared minimum.
+    root = LAYERS.parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", "sim64_diag",
+         "--seed", "1", "--seconds", "2", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in per_layer if m["name"] not in metrics] == []
+    assert metrics["integrator.step.calls"] == 64
+    assert metrics["spectral.inverse_transform.calls"] == 8 * 64
+    assert metrics["spectral.forward_transform.calls"] == 2 * 64
+    assert metrics["operators.to_modes.calls"] <= 4 * 64 + 4
+    assert metrics["forcing.setup_lift.calls"] <= 2 * 64 + 2
+    assert metrics["operators.inner_h.calls"] <= 2 * 64 + 2
+    assert metrics["operators.norms.calls"] <= 64 + 6

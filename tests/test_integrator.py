@@ -1,11 +1,19 @@
 """IMEX stepping, energy budget, the xi bound, and reconstruction."""
 
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stochqg.forcing import (
     PeriodicFlux,
     build_forcing,
+    init_ou_state,
     make_noise_model,
     make_noise_path,
     setup_lift,
@@ -13,6 +21,8 @@ from stochqg.forcing import (
 from stochqg.integrator import (
     BlowupError,
     CFLViolation,
+    DiagnosticsRecord,
+    SimState,
     energy_budget,
     initial_state,
     load_snapshot,
@@ -27,6 +37,7 @@ from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux, solve_lift
 from stochqg.operators import (
     apply_A,
     build_context,
+    deriv_x,
     eigenvalue_of,
     inner_h,
     jacobian,
@@ -147,6 +158,87 @@ class TestSimulate:
         z = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
         with pytest.raises(ValueError):
             simulate(ctx, setup, z, 0.0, 1.03, H)
+
+
+class TestStepReport:
+    """Each state's report is reused by its step and the diagnostics; no bit may move."""
+
+    def _setup(self, ctx, grid, vop):
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=11)
+        u0 = 0.2 * random_field(ctx, np.random.default_rng(48), decay=2.0)
+        return setup, u0
+
+    def test_records_match_public_functions(self, ctx, grid, vop):
+        # Rebuild every record from the public functions alone, with each
+        # step's OU state made afresh by init_ou_state.
+        setup, u0 = self._setup(ctx, grid, vop)
+        res = simulate(ctx, setup, u0, 0.0, 1.0, H, snapshot_every=1)
+        states, lifts = [], []
+        xi = inner_h(ctx, res.snapshots[0][1], res.snapshots[0][1])
+        for n, (_, u) in enumerate(res.snapshots):
+            ou = init_ou_state(setup.model, setup.path, n * H)
+            states.append(SimState(u=u, n=n, dt=H, ou=ou, xi=xi))
+            lifts.append(setup_lift(setup, ou, step_index=n, dt=H))
+            xi = xi_step(xi, lifts[-1], H, ctx)
+        rebuilt = []
+        for k in range(len(states) - 1):
+            nxt = states[k + 1]
+            nn = norms(ctx, nxt.u)
+            rebuilt.append(DiagnosticsRecord(
+                t=nxt.t, h=nn.h, v=nn.v,
+                vdual_liftx=norms(ctx, deriv_x(ctx, lifts[k + 1])).vdual, xi=nxt.xi,
+                residual=energy_budget(ctx, states[k], nxt, lifts[k], lifts[k + 1]), dt=H))
+        assert len(rebuilt) == 16
+        assert rebuilt == res.diagnostics
+
+    def test_steps_without_reports_match_simulate(self, ctx, grid, vop):
+        setup, u0 = self._setup(ctx, grid, vop)
+        res = simulate(ctx, setup, u0, 0.0, 1.0, H)
+        st = initial_state(ctx, setup, u0, 0.0, H)
+        xis = []
+        for _ in range(16):
+            st = step(dataclasses.replace(st, report=None), H, ctx, setup)
+            xis.append(st.xi)
+        assert np.array_equal(st.u, res.final.u)
+        assert xis == [d.xi for d in res.diagnostics]
+
+    def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
+        # The report made for the old u must not be used for the new one.
+        setup, u0 = self._setup(ctx, grid, vop)
+        st = step(initial_state(ctx, setup, u0, 0.0, H), H, ctx, setup)
+        other = 0.1 * random_field(ctx, np.random.default_rng(49), decay=2.0)
+        edited = step(dataclasses.replace(st, u=other), H, ctx, setup)
+        fresh = step(initial_state(ctx, setup, other, st.t, H, xi0=st.xi), H, ctx, setup)
+        assert np.array_equal(edited.u, fresh.u)
+        assert edited.xi == fresh.xi
+
+
+_THREAD_RUN = r"""
+import hashlib, sys
+from stochqg import cli, config, integrator
+rt = cli.build_runtime(config.parse_config(
+    "grid.nx = 64\ngrid.ny = 64\ngrid.nz = 33\ninit.kind = random\n"
+    "time.t1 = 0.5\nnoise.t_min = -2\nnoise.t_max = 2\n"))
+cfg = rt.cfg
+res = integrator.simulate(rt.ctx, rt.forcing, cli.initial_field(rt), cfg.t0, cfg.t1, cfg.dt)
+assert len(res.diagnostics) == 8
+integrator.write_diagnostics_csv(sys.argv[1], res.diagnostics, config_hash=rt.chash)
+print(hashlib.sha256(res.final.u.tobytes()).hexdigest())
+"""
+
+
+def test_thread_count_determinism(tmp_path):
+    # The same 64x64x33 run under 1 and 2 BLAS/OpenMP threads.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        csv = tmp_path / f"diag_{threads}.csv"
+        out = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(csv)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.append((out.stdout.strip(), hashlib.sha256(csv.read_bytes()).hexdigest()))
+    assert digests[0] == digests[1]
 
 
 class TestEnergyBudget:

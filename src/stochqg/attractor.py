@@ -86,6 +86,29 @@ def default_quad_horizon(ctx: OperatorContext) -> float:
     return 20.0 / (ctx.nu * ctx.lambda1)
 
 
+def _quad_steps(ctx: OperatorContext, quad_horizon: float | None, dt: float) -> int:
+    """Steps of dt in the xi* quadrature window (default horizon 20/(nu lam1))."""
+    rate = ctx.nu * ctx.lambda1
+    horizon = default_quad_horizon(ctx) if quad_horizon is None else float(quad_horizon)
+    if horizon < 10.0 / rate:
+        raise ValueError(f"quad_horizon must be at least 10/(nu lam1) = {10.0 / rate:g}")
+    return int(np.ceil(horizon / dt))
+
+
+def pullback_window(config: PullbackConfig, ctx: OperatorContext, dt: float,
+                    dt_noise: float) -> tuple[float, float]:
+    """The window [t_min, t_max] of noise path that ``pullback_run`` reads when observing at 0.
+
+    Horizon T reads its xi* quadrature window, which ends at -T and starts
+    where ``estimate_xi_star`` sets up its OU state (the noise gridpoint at
+    or before the window's first step); its members then run to 0.
+    """
+    m = steps_per_noise(dt, dt_noise)
+    n = _quad_steps(ctx, config.quad_horizon, dt)
+    first = min((round(-T / dt) - n) // m for T in config.horizons)
+    return first * dt_noise, 0.0
+
+
 def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
                      quad_horizon: float | None = None, dt: float | None = None) -> XiStarEstimate:
     """Backward exponentially weighted quadrature of the lift source at `at`.
@@ -100,10 +123,7 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
         dt = h
     m = steps_per_noise(dt, h)
     rate = ctx.nu * ctx.lambda1
-    horizon = default_quad_horizon(ctx) if quad_horizon is None else float(quad_horizon)
-    if horizon < 10.0 / rate:
-        raise ValueError(f"quad_horizon must be at least 10/(nu lam1) = {10.0 / rate:g}")
-    n = int(np.ceil(horizon / dt))
+    n = _quad_steps(ctx, quad_horizon, dt)
     horizon = n * dt
     n_at = round(at / dt)
     if abs(n_at * dt - at) > 1e-9 * max(1.0, abs(at)):
@@ -179,19 +199,20 @@ def sample_initial_ball(ctx: OperatorContext, radius2: float, n_members: int,
     Coefficients are drawn on the leading orthonormal real eigenmodes and
     rescaled, so every member has exactly the requested H norm.
     """
+    grid = ctx.grid
     modes = leading_real_modes(ctx, leading)
-    basis = [unit_eigenmode(ctx, m, l, k, kind) for (m, l, k, kind) in modes]
     out = []
     for i in range(n_members):
         rng = ensemble_stream(seed, *key, i)
-        g = rng.standard_normal(len(basis))
+        g = rng.standard_normal(len(modes))
         r = np.sqrt(radius2)
         if rule == "ball":
-            r *= rng.uniform() ** (1.0 / len(basis))
+            r *= rng.uniform() ** (1.0 / len(modes))
         g *= r / np.linalg.norm(g)
-        u = np.zeros_like(basis[0])
-        for c, b in zip(g, basis):
-            u += c * b
+        # Each basis field is made when it is added; the basis is never held whole.
+        u = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
+        for c, mode in zip(g, modes):
+            u += c * unit_eigenmode(ctx, *mode)
         out.append(u)
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .attractor import (
     flow_estimate,
     growth_diagnostic,
     pullback_run,
+    pullback_window,
     sample_initial_ball,
 )
 from .config import (
@@ -115,37 +116,75 @@ def _outdir(rt: Runtime) -> Path:
 def cmd_simulate(rt: Runtime) -> int:
     cfg = rt.cfg
     out = _outdir(rt)
-    u0 = initial_field(rt)
-    res = simulate(rt.ctx, rt.forcing, u0, cfg.t0, cfg.t1, cfg.dt,
-                   snapshot_every=cfg.snapshot_every, linear_only=cfg.linear_only)
+    written = []
+
+    def save(t, u):
+        # Each snapshot goes to disk when it is taken, so none is kept.
+        save_snapshot(out / f"snapshot_{len(written):05d}.bin", rt.grid, u, t=t,
+                      n=round(t / cfg.dt), dt=cfg.dt, config_hash=rt.chash)
+        written.append(t)
+
+    res = simulate(rt.ctx, rt.forcing, initial_field(rt), cfg.t0, cfg.t1, cfg.dt,
+                   snapshot_every=cfg.snapshot_every, linear_only=cfg.linear_only,
+                   snapshot_sink=save)
     write_diagnostics_csv(out / "diagnostics.csv", res.diagnostics,
                           config_hash=rt.chash)
-    for i, (t, u) in enumerate(res.snapshots):
-        save_snapshot(out / f"snapshot_{i:05d}.bin", rt.grid, u, t=t,
-                      n=round(t / cfg.dt), dt=cfg.dt, config_hash=rt.chash)
     print(f"simulate: {len(res.diagnostics)} steps, "
           f"final ||u||_H = {res.diagnostics[-1].h if res.diagnostics else 0.0:.6g}, "
-          f"{len(res.snapshots)} snapshots -> {out}")
+          f"{len(written)} snapshots -> {out}")
     return 0
+
+
+def _pullback_config(cfg: SimConfig) -> PullbackConfig:
+    return PullbackConfig(horizons=tuple(horizon_list(cfg)), ensemble=cfg.ensemble,
+                          sampling_rule=cfg.sampling_rule, leading_modes=cfg.leading_modes,
+                          phase=cfg.phase, seed=cfg.seed,
+                          quad_horizon=cfg.quad_horizon or None)
+
+
+def _growth_plan(t_max: float, dt: float) -> tuple[int, float] | None:
+    """(steps per record, end time) of the growth flow from 0, or None.
+
+    The flow records >= 50 times over whatever the path covers after 0.
+    """
+    rec_steps = max(1, int(np.floor(t_max / 50.0 / dt)))
+    t_end = 50 * rec_steps * dt
+    return (rec_steps, t_end) if 0 < t_end <= t_max else None
+
+
+def preflight_pullback(rt: Runtime) -> Runtime:
+    """Check that the noise path covers the whole pullback plan.
+
+    The plan reads every horizon's xi* quadrature window and then the growth
+    flow window.  A path derived from the seed is widened to cover it (only
+    when it does not, so runs that fit are unchanged); a path loaded from a
+    noise file that falls short raises ConfigError.
+    """
+    cfg, path = rt.cfg, rt.forcing.path
+    t_lo, t_hi = pullback_window(_pullback_config(cfg), rt.ctx, cfg.dt, path.dt_noise)
+    growth = _growth_plan(path.t_max, cfg.dt)
+    if growth is not None:
+        t_hi = max(t_hi, growth[1])
+    if path.t_min <= t_lo and t_hi <= path.t_max:
+        return rt
+    if cfg.noise_file:
+        raise ConfigError([f"noise file {cfg.noise_file} covers [{path.t_min}, {path.t_max}], "
+                           f"the pullback plan needs [{t_lo}, {t_hi}]"])
+    wide = extend_noise_path(path, min(t_lo, path.t_min), max(t_hi, path.t_max))
+    return replace(rt, forcing=replace(rt.forcing, path=wide))
 
 
 def cmd_pullback(rt: Runtime) -> int:
     cfg = rt.cfg
     out = _outdir(rt)
-    pcfg = PullbackConfig(horizons=tuple(horizon_list(cfg)), ensemble=cfg.ensemble,
-                          sampling_rule=cfg.sampling_rule, leading_modes=cfg.leading_modes,
-                          phase=cfg.phase, seed=cfg.seed,
-                          quad_horizon=cfg.quad_horizon or None)
-    est = pullback_run(pcfg, rt.ctx, rt.forcing, cfg.dt)
+    est = pullback_run(_pullback_config(cfg), rt.ctx, rt.forcing, cfg.dt)
 
     # Growth slope from flowing the largest-horizon estimate forward over
     # whatever the path still covers, with >= 50 recorded times.
-    path = rt.forcing.path
-    avail = path.t_max
     slope = float("nan")
-    rec_steps = max(1, int(np.floor(avail / 50.0 / cfg.dt)))
-    t_end = 50 * rec_steps * cfg.dt
-    if t_end > 0 and avail >= t_end:
+    growth = _growth_plan(rt.forcing.path.t_max, cfg.dt)
+    if growth is not None:
+        rec_steps, t_end = growth
         series = flow_estimate(rt.ctx, rt.forcing, est, cfg.dt, t_end,
                                record_every=rec_steps * cfg.dt)
         slope = growth_diagnostic(rt.ctx, series[1:]).slope
@@ -254,6 +293,8 @@ def main(argv=None) -> int:
             # Creates or extends the noise file; needs no operator tables.
             return cmd_gen_noise(cfg)
         rt = build_runtime(cfg)
+        if args.command == "pullback":
+            rt = preflight_pullback(rt)
     except ConfigError as exc:
         _error_record("config", str(exc), 1)
         return 1

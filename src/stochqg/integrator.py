@@ -50,7 +50,7 @@ from .operators import (
     norms,
     to_modes,
 )
-from .spectral import Grid, inverse_transform, mean_defect, project_mean_zero
+from .spectral import Grid, inverse_transform, mean_defect, project_mean_zero, remove_mean
 
 _SNAP_MAGIC = b"SQGSNAP1"
 _SNAP_HEADER = struct.Struct("<8sIIIIIqdd16s16s")
@@ -126,13 +126,14 @@ class StepReport:
 
 def _report(ctx: OperatorContext, forcing: ForcingSetup, dt: float, u: np.ndarray,
             ou: OUBoundaryState, n: int, efac=None, h2=None,
-            cfl_limit: float = np.inf) -> StepReport:
-    """The report of state (u, ou, n); ``efac`` and ``h2`` are computed unless given."""
+            cfl_limit: float = np.inf, lift=None) -> StepReport:
+    """The report of state (u, ou, n); ``efac``, ``h2`` and ``lift`` are computed unless given."""
     if efac is None:
         efac = np.exp(-ctx.nu * ctx.lam * dt)
     if h2 is None:
         h2 = inner_h(ctx, u, u)
-    lift = _lift_at(forcing, ou, n, dt)
+    if lift is None:
+        lift = _lift_at(forcing, ou, n, dt)
     return StepReport(u=u, ou=ou, n=n, ctx=ctx, forcing=forcing, dt=dt, efac=efac,
                       modes=to_modes(ctx, u), lift=lift,
                       vdual_liftx=norms(ctx, deriv_x(ctx, lift)).vdual, h2=h2,
@@ -189,20 +190,25 @@ def _noise_index(n: int, m: int) -> int:
     return n // m  # floor division, valid for negative steps
 
 
-def _rhs(ctx: OperatorContext, u: np.ndarray, gu: np.ndarray, lift: np.ndarray,
-         linear_only: bool):
-    """Explicit tendency and the max advective gradients (for the CFL check).
+def _rhs(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
+         cfl: bool = False):
+    """Explicit tendency N(u) and the advective dt limit.
 
-    ``gu`` is G(u), supplied by the caller so the mode transform is shared
-    with the integrating-factor update.
+    ``psi`` is G(u) + lift, built by the caller so the mode transform of G
+    is shared with the integrating-factor update.  The dt limit is found
+    only with ``cfl`` and a nonlinear step; otherwise it is inf.
     """
-    grid = ctx.grid
-    psi = gu + lift
-    tendency = -ctx.beta * deriv_x(ctx, psi)
     if linear_only:
-        return project_mean_zero(grid, tendency, ctx.zw), 0.0, 0.0
-    jhat, px_max, py_max = dealiased_product(ctx, psi, u)
-    return project_mean_zero(grid, tendency - jhat, ctx.zw), px_max, py_max
+        tendency = -ctx.beta * deriv_x(ctx, psi)
+        remove_mean(tendency, ctx.zw)
+        return tendency, np.inf
+    # The Jacobian comes first, so the tendency is not alive during its peak.
+    jhat, grad = dealiased_product(ctx, psi, u, maxima=cfl)
+    tendency = -ctx.beta * deriv_x(ctx, psi)
+    tendency -= jhat
+    del jhat
+    remove_mean(tendency, ctx.zw)
+    return tendency, _cfl_limit(ctx, *grad) if cfl else np.inf
 
 
 def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
@@ -267,34 +273,46 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     n1 = state.n + 1
     rep0 = _report_for(state, ctx, forcing, dt)
     efac = rep0.efac
-
     c0 = rep0.modes
-    gu0 = from_modes(ctx, -ctx.inv_lam * c0)
-    r0, px_max, py_max = _rhs(ctx, state.u, gu0, rep0.lift, linear_only)
-    limit = _cfl_limit(ctx, px_max, py_max)
+
+    # Each field-sized temporary is dropped as soon as it is consumed.
+    psi = from_modes(ctx, -ctx.inv_lam * c0)
+    psi += rep0.lift
+    r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
+    del psi
     if check_cfl and not linear_only and dt > limit:
         raise CFLViolation(dt, limit)
-
     n0_modes = to_modes(ctx, r0)
+    del r0
 
     c_pred = efac * (c0 + dt * n0_modes)
-    u_pred = project_mean_zero(ctx.grid, from_modes(ctx, c_pred), ctx.zw)
-    gu_pred = from_modes(ctx, -ctx.inv_lam * c_pred)
-
-    # The stochastic coefficients are held over the whole step (the corrector
-    # sees the left limit at a noise gridpoint); only the periodic factor
-    # advances to t1.  The OU jump lands between steps, which keeps the Heun
-    # quadrature exactly consistent with the sample-held forcing.
-    lift1 = _lift_at(forcing, state.ou, n1, dt)
-    r1, _, _ = _rhs(ctx, u_pred, gu_pred, lift1, linear_only)
+    u_pred = from_modes(ctx, c_pred)
+    remove_mean(u_pred, ctx.zw)
+    psi = from_modes(ctx, -ctx.inv_lam * c_pred)
+    del c_pred
 
     j_new = _noise_index(n1, m) + path.local_shift
     ou1 = state.ou
     if j_new > ou1.j:
         ou1 = advance_ou(ou1, (j_new - ou1.j) * path.dt_noise, path, forcing.model)
 
+    # The stochastic coefficients are held over the whole step (the corrector
+    # sees the left limit at a noise gridpoint); only the periodic factor
+    # advances to t1.  The OU jump lands between steps, which keeps the Heun
+    # quadrature exactly consistent with the sample-held forcing.  A step
+    # that crosses no noise gridpoint ends with this same lift.
+    lift1 = _lift_at(forcing, state.ou, n1, dt)
+    psi += lift1
+    if ou1 is not state.ou:
+        lift1 = None
+    r1, _ = _rhs(ctx, u_pred, psi, linear_only)
+    del psi, u_pred
+
     c1 = efac * c0 + 0.5 * dt * (efac * n0_modes + to_modes(ctx, r1))
-    u1 = project_mean_zero(ctx.grid, from_modes(ctx, c1), ctx.zw)
+    del r1, n0_modes
+    u1 = from_modes(ctx, c1)
+    del c1
+    remove_mean(u1, ctx.zw)
 
     xi1 = _xi_update(state.xi, rep0.vdual_liftx, dt, ctx)
 
@@ -304,7 +322,8 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
         raise BlowupError(f"||u||_H exceeded 1e3*sqrt(2 xi) at t={n1 * dt:g}")
 
-    rep1 = _report(ctx, forcing, dt, u1, ou1, n1, efac=efac, h2=h2, cfl_limit=limit)
+    rep1 = _report(ctx, forcing, dt, u1, ou1, n1, efac=efac, h2=h2, cfl_limit=limit,
+                   lift=lift1)
     return SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1, report=rep1)
 
 
@@ -339,39 +358,58 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
 def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
              t0: float, t1: float, dt: float, snapshot_every: int = 0,
              xi0: float | None = None, linear_only: bool = False,
-             check_cfl: bool = True, record_diagnostics: bool = True) -> SimResult:
+             check_cfl: bool = True, record_diagnostics: bool = True,
+             snapshot_sink=None) -> SimResult:
     """Advance from t0 to t1, recording diagnostics each step.
 
-    Snapshots are stored every ``snapshot_every`` steps (0: endpoints only).
-    Identical (path seed, config) inputs give bitwise-identical output.
+    Snapshots are taken every ``snapshot_every`` steps (0: endpoints only).
+    They are stored as copies in ``SimResult.snapshots`` unless a
+    ``snapshot_sink(t, u)`` is given; the sink is handed each snapshot when
+    it is taken, must not modify ``u``, and the list then stays empty.
+    Only the current state is kept between steps.  Identical (path seed,
+    config) inputs give bitwise-identical output.
     """
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
     state = initial_state(ctx, forcing, u0, t0, dt, xi0=xi0)
+    del u0  # the state holds its own copy
     n_steps = round((t1 - t0) / dt)
     if abs((t0 + n_steps * dt) - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("t1 - t0 must be a multiple of dt")
 
-    snapshots = [(state.t, state.u.copy())]
+    snapshots = []
+    if snapshot_sink is None:
+        def snapshot_sink(t, u):
+            snapshots.append((t, u.copy()))
+
+    snapshot_sink(state.t, state.u)
     diagnostics = []
-    prev = state
+    # Each state's budget terms serve the steps on either side of it.
+    terms = _report_for(state, ctx, forcing, dt).budget_terms if record_diagnostics else None
     for k in range(n_steps):
-        nxt = step(prev, dt, ctx, forcing, linear_only=linear_only, check_cfl=check_cfl)
+        t_prev = state.t
+        state = step(state, dt, ctx, forcing, linear_only=linear_only, check_cfl=check_cfl)
         if record_diagnostics:
-            # Both states carry their reports, so each state's budget terms
-            # are computed once and serve the steps on either side of it.
-            r0 = _report_for(prev, ctx, forcing, dt)
-            r1 = _report_for(nxt, ctx, forcing, dt)
-            residual = _budget_residual(ctx, nxt.t - prev.t, r0.budget_terms, r1.budget_terms)
-            diagnostics.append(DiagnosticsRecord(
-                t=nxt.t, h=r1.norms.h, v=r1.norms.v, vdual_liftx=r1.vdual_liftx,
-                xi=nxt.xi, residual=residual, dt=dt,
-            ))
+            record, terms = _record(ctx, forcing, dt, state, t_prev, terms)
+            diagnostics.append(record)
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:
-            snapshots.append((nxt.t, nxt.u.copy()))
-        prev = nxt
-    snapshots.append((prev.t, prev.u.copy()))
-    return SimResult(final=prev, snapshots=snapshots, diagnostics=diagnostics)
+            snapshot_sink(state.t, state.u)
+    snapshot_sink(state.t, state.u)
+    return SimResult(final=state, snapshots=snapshots, diagnostics=diagnostics)
+
+
+def _record(ctx: OperatorContext, forcing: ForcingSetup, dt: float, state: SimState,
+            t_prev: float, start) -> tuple[DiagnosticsRecord, tuple]:
+    """The record of the step from t_prev to ``state``, and the state's budget terms.
+
+    ``start`` holds the budget terms of the step's first state.
+    """
+    rep = _report_for(state, ctx, forcing, dt)
+    end = rep.budget_terms
+    record = DiagnosticsRecord(
+        t=state.t, h=rep.norms.h, v=rep.norms.v, vdual_liftx=rep.vdual_liftx,
+        xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, end), dt=dt)
+    return record, end
 
 
 def _budget_residual(ctx: OperatorContext, dt: float, start, end) -> float:

@@ -34,7 +34,7 @@ from .spectral import (
     forward_transform,
     inverse_transform,
     mean_defect,
-    project_mean_zero,
+    remove_mean,
     unit_mode_coef,
 )
 
@@ -172,23 +172,32 @@ def deriv_x(ctx: OperatorContext, fhat: np.ndarray) -> np.ndarray:
     return ctx.dx_mult * fhat
 
 
-def dealiased_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray):
-    """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b, with max |a_x|, max |a_y|.
+def dealiased_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray,
+                      maxima: bool = False):
+    """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b.
 
     The derivative multipliers carry the dealias mask, so only the band of a
     and b enters the collocation product, and the product is masked to the
-    band again.  The gradient maxima of a bound the advective CFL number
-    when a is the streamfunction.  Returns (jhat, max |a_x|, max |a_y|);
-    jhat is not mean-zero projected.
+    band again.  Returns (jhat, grad), jhat not mean-zero projected.  With
+    ``maxima``, grad is (max |a_x|, max |a_y|), which bound the advective
+    CFL number when a is the streamfunction; otherwise it is None.
+
+    The two products are formed one at a time, so at most three physical
+    fields are alive at once.
     """
     grid = ctx.grid
-    ax = inverse_transform(grid, ctx.dxm_mult * a)
+    prod = inverse_transform(grid, ctx.dxm_mult * a)                  # a_x
+    ax_max = float(np.max(np.abs(prod))) if maxima else None
+    prod *= inverse_transform(grid, ctx.dym_mult * b)                 # a_x b_y
     ay = inverse_transform(grid, ctx.dym_mult * a)
-    bx = inverse_transform(grid, ctx.dxm_mult * b)
-    by = inverse_transform(grid, ctx.dym_mult * b)
-    jhat = forward_transform(grid, ax * by - ay * bx)
-    return (jhat * ctx.mask[None, :, :],
-            float(np.max(np.abs(ax))), float(np.max(np.abs(ay))))
+    grad = (ax_max, float(np.max(np.abs(ay)))) if maxima else None
+    ay *= inverse_transform(grid, ctx.dxm_mult * b)                   # a_y b_x
+    prod -= ay
+    del ay
+    jhat = forward_transform(grid, prod)
+    del prod
+    jhat *= ctx.mask[None, :, :]
+    return jhat, grad
 
 
 def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
@@ -203,8 +212,9 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
     b = _as_spectral(ctx, _coef(b))
     if not (np.any(a) and np.any(b)):
         return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-    jhat, _, _ = dealiased_product(ctx, a, b)
-    return project_mean_zero(grid, jhat, ctx.zw)
+    jhat, _ = dealiased_product(ctx, a, b)
+    remove_mean(jhat, ctx.zw)
+    return jhat
 
 
 def _as_spectral(ctx, f):

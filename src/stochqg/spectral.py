@@ -12,7 +12,7 @@ transform.  Field layout conventions:
     spectral:  complex (nz, ny, nx//2+1) rfft2 over axes (1, 2), normalized
 
 The mean-zero state space drops the (k, l) = (0, 0) vertically-constant
-component; ``project_mean_zero`` removes it exactly.
+component; ``remove_mean`` removes it exactly, in place.
 """
 
 from __future__ import annotations
@@ -259,7 +259,9 @@ def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
     if f.shape != (grid.nz, grid.ny, grid.nx):
         raise ValueError(f"field shape {f.shape} does not match grid "
                          f"{(grid.nz, grid.ny, grid.nx)}")
-    return _fft.rfft2(f, axes=(1, 2)) / (grid.nx * grid.ny)
+    fhat = _fft.rfft2(f, axes=(1, 2))
+    fhat /= grid.nx * grid.ny
+    return fhat
 
 
 def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
@@ -268,7 +270,9 @@ def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
     if fhat.shape != (grid.nz, grid.ny, grid.nkx):
         raise ValueError(f"spectral shape {fhat.shape} does not match grid "
                          f"{(grid.nz, grid.ny, grid.nkx)}")
-    return _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2)) * (grid.nx * grid.ny)
+    f = _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2))
+    f *= grid.nx * grid.ny
+    return f
 
 
 def _flip_index(n: int) -> np.ndarray:
@@ -290,11 +294,15 @@ def weighted_vertical_mean(weights: np.ndarray, column):
     return (weights @ column) / weights.sum()
 
 
+def remove_mean(fhat: np.ndarray, weights: np.ndarray) -> None:
+    """Remove the domain-average ((0,0) horizontal mode, constant-in-z) component in place."""
+    fhat[:, 0, 0] -= weighted_vertical_mean(weights, fhat[:, 0, 0])
+
+
 def project_mean_zero(grid: Grid, fhat: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Remove the domain-average ((0,0) horizontal mode, constant-in-z) component."""
-    w = grid.zweights if weights is None else weights
+    """A copy of fhat with the domain average removed (``remove_mean``)."""
     out = fhat.copy()
-    out[:, 0, 0] -= weighted_vertical_mean(w, out[:, 0, 0])
+    remove_mean(out, grid.zweights if weights is None else weights)
     return out
 
 

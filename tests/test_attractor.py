@@ -18,6 +18,7 @@ from stochqg.attractor import (
     invariance_check,
     leading_real_modes,
     pullback_run,
+    pullback_window,
     sample_initial_ball,
 )
 from stochqg.forcing import (
@@ -96,6 +97,20 @@ class TestXiStar:
         setup = dyn_forcing(grid, vop, t_min=-16.0)
         with pytest.raises(ValueError):
             estimate_xi_star(ctx, setup, at=0.0, quad_horizon=40.0, dt=DT)
+
+    def test_pullback_window_is_tight(self, grid, vop):
+        # dt = dt_noise/2 and an odd step count in the quadrature window, so
+        # the OU set-up point lies one step before the window's first step.
+        ctx = dyn_ctx(grid, vop)
+        cfg = PullbackConfig(horizons=(1, 2), ensemble=8, quad_horizon=24.0625)
+        t_lo, t_hi = pullback_window(cfg, ctx, DT / 2, DT)
+        assert (t_lo, t_hi) == (-26.125, 0.0)
+        fits = dyn_forcing(grid, vop, t_min=t_lo, t_max=t_hi)
+        for T in cfg.horizons:
+            estimate_xi_star(ctx, fits, at=-T, quad_horizon=cfg.quad_horizon, dt=DT / 2)
+        short = dyn_forcing(grid, vop, t_min=t_lo + DT, t_max=t_hi)
+        with pytest.raises(ValueError):
+            estimate_xi_star(ctx, short, at=-2, quad_horizon=cfg.quad_horizon, dt=DT / 2)
 
     def test_xi_pullback_contraction(self, grid, vop):
         # |xi(T, theta_{-T} omega, x0) - xi*| <= e^{-rate T} |x0 - xi*(-T)|

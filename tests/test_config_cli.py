@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from stochqg.cli import build_runtime, main
+from stochqg.cli import build_runtime, initial_field, main
 from stochqg.config import (
     ConfigError,
     SimConfig,
@@ -15,6 +15,7 @@ from stochqg.config import (
     parse_config,
 )
 from stochqg.forcing import load_noise_path
+from stochqg.integrator import save_snapshot, simulate
 
 
 FAST = [
@@ -127,6 +128,26 @@ class TestCLI:
             sums.append(h.hexdigest())
         assert sums[0] == sums[1]
 
+    def test_streamed_snapshots_match_library_run(self, tmp_path, capsys):
+        # The CLI writes each snapshot when it is taken; the files are the
+        # bytes save_snapshot gives for the library's in-memory snapshots.
+        out = tmp_path / "run"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output.dir = {out}\ntime.t1 = 1.0\ninit.kind = random\n"
+                            "noise.t_min = -2\nnoise.t_max = 2\ntime.snapshot_every = 4\n")
+        assert main(["simulate", str(cfg_file)]) == 0
+        rt = build_runtime(parse_config(cfg_file.read_text()))
+        cfg = rt.cfg
+        res = simulate(rt.ctx, rt.forcing, initial_field(rt), cfg.t0, cfg.t1, cfg.dt,
+                       snapshot_every=cfg.snapshot_every)
+        assert len(res.snapshots) == 5
+        assert len(list(out.glob("snapshot_*.bin"))) == 5
+        for i, (t, u) in enumerate(res.snapshots):
+            ref = tmp_path / f"ref_{i}.bin"
+            save_snapshot(ref, rt.grid, u, t=t, n=round(t / cfg.dt), dt=cfg.dt,
+                          config_hash=rt.chash)
+            assert (out / f"snapshot_{i:05d}.bin").read_bytes() == ref.read_bytes()
+
     def test_simulate_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["simulate", "--set", f"output.dir={out}",
@@ -226,3 +247,29 @@ class TestCLI:
         assert (out / "endpoint_T2_000.bin").exists()
         row = lines[3].split(",")
         assert float(row[1]) >= 0.0 and float(row[3]) > 0.0
+
+    def test_pullback_defaults_extend_seeded_path(self, tmp_path, capsys):
+        # The default quadrature horizon reaches far behind the default
+        # noise.t_min; a seed-derived path is widened to the plan.
+        out = tmp_path / "pb"
+        rc = main(["pullback", "--set", f"output.dir={out}",
+                   "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "grid.nz=5"])
+        assert rc == 0
+        lines = (out / "attractor_report.csv").read_text().splitlines()
+        assert len(lines) == 6  # comment, header, horizons 2, 4, 8, 16
+        assert all(np.isfinite(float(row.split(",")[1])) for row in lines[2:])
+
+    def test_pullback_short_noise_file_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "noise.bin"
+        assert main(["gen-noise", "--set", f"output.dir={tmp_path}",
+                     "--set", f"noise.file={target}"]) == 0
+        capsys.readouterr()
+        rc = main(["pullback", "--set", f"output.dir={tmp_path / 'pb'}",
+                   "--set", f"noise.file={target}",
+                   "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "grid.nz=5"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert "covers [-64.0, 16.0], the pullback plan needs [-184.5, 15.625]" in record["message"]
+        assert not (tmp_path / "pb").exists()

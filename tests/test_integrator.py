@@ -5,11 +5,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stochqg import integrator
 from stochqg.forcing import (
     PeriodicFlux,
     build_forcing,
@@ -202,6 +204,29 @@ class TestStepReport:
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
 
+    def test_lift_reused_between_noise_gridpoints(self, ctx, grid, vop, monkeypatch):
+        # At dt = dt_noise/4 only one step in four crosses a noise gridpoint;
+        # the others end with the corrector's lift and do not rebuild it.
+        setup, u0 = self._setup(ctx, grid, vop)
+        dt = H / 4
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["step_index"])
+            return setup_lift(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "setup_lift", counted)
+        res = simulate(ctx, setup, u0, 0.0, 8 * dt, dt)
+        monkeypatch.undo()
+        assert len(calls) == 1 + 8 * 1.25  # the initial state's lift, then 1.25 per step
+        st = initial_state(ctx, setup, u0, 0.0, dt)
+        xis = []
+        for _ in range(8):
+            st = step(dataclasses.replace(st, report=None), dt, ctx, setup)
+            xis.append(st.xi)
+        assert np.array_equal(st.u, res.final.u)
+        assert xis == [d.xi for d in res.diagnostics]
+
     def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
         # The report made for the old u must not be used for the new one.
         setup, u0 = self._setup(ctx, grid, vop)
@@ -211,6 +236,51 @@ class TestStepReport:
         fresh = step(initial_state(ctx, setup, other, st.t, H, xi0=st.xi), H, ctx, setup)
         assert np.array_equal(edited.u, fresh.u)
         assert edited.xi == fresh.xi
+
+
+def _traced_peak(fn) -> tuple[int, object]:
+    """Peak traced bytes allocated while fn() runs, above what was live before, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestFieldLifetimes:
+    """A run holds each field-sized array only while it is needed."""
+
+    def _run(self, ctx, grid, vop, n_steps, **kwargs):
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=11)
+        u0 = 0.2 * random_field(ctx, np.random.default_rng(48), decay=2.0)
+        return _traced_peak(lambda: simulate(ctx, setup, u0, 0.0, n_steps * H, H, **kwargs))
+
+    def test_simulate_peak_memory(self, ctx, grid, vop):
+        # About 10.5 fields at the corrector's Jacobian: the current state
+        # (u, its modes and lift, half a field of efac), the corrector's
+        # psi, u_pred and N0, and the Jacobian's four arrays.  Keeping the
+        # previous report, the initial state, all four gradient fields or
+        # one snapshot per step crosses the bound.
+        field = grid.nz * grid.ny * grid.nkx * 16
+        peak, res = self._run(ctx, grid, vop, 8, snapshot_every=1,
+                              snapshot_sink=lambda t, u: None)
+        assert len(res.diagnostics) == 8 and res.snapshots == []
+        assert peak < 12 * field, peak / field
+
+    def test_sink_memory_independent_of_snapshot_count(self, ctx, grid, vop):
+        field = grid.nz * grid.ny * grid.nkx * 16
+        taken = []
+        sink = lambda t, u: taken.append(t)  # noqa: E731
+        every, _ = self._run(ctx, grid, vop, 16, snapshot_every=1, snapshot_sink=sink)
+        ends, _ = self._run(ctx, grid, vop, 16, snapshot_every=0, snapshot_sink=sink)
+        assert taken == [k * H for k in range(17)] + [0.0, 16 * H]
+        assert abs(every - ends) < 0.5 * field
+        # The default list keeps a copy of each of the 17 snapshots.
+        listed, res = self._run(ctx, grid, vop, 16, snapshot_every=1)
+        assert len(res.snapshots) == 17
+        assert listed > every + 14 * field
 
 
 _THREAD_RUN = r"""

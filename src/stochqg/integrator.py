@@ -96,7 +96,7 @@ class StepReport:
     ``vdual_liftx`` and ``budget_terms``.  The last two are computed on
     first use, so runs without diagnostics never pay for them.  A report
     belongs to the exact ``u`` array, OU state and step index it was made
-    for, under one context, forcing and dt (see ``_report_for``).
+    for, under one context and forcing, at an equal dt (see ``_report_for``).
     ``cfl_limit`` is the advective dt limit found at the start of the step
     that produced the state (inf when no step did, or the step was linear).
     """
@@ -248,10 +248,15 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
 
 def _report_for(state: SimState, ctx: OperatorContext, forcing: ForcingSetup,
                 dt: float) -> StepReport:
-    """The state's own report if it was made for exactly these inputs, else a new one."""
+    """The state's own report if it was made for exactly these inputs, else a new one.
+
+    The fields, context and forcing must be the very objects the report was
+    made from; dt only has to be equal, so a computed dt such as ``T / n``
+    still reuses it.
+    """
     rep = state.report
     if (rep is not None and rep.u is state.u and rep.ou is state.ou and rep.n == state.n
-            and rep.ctx is ctx and rep.forcing is forcing and rep.dt is dt):
+            and rep.ctx is ctx and rep.forcing is forcing and rep.dt == dt):
         return rep
     return _report(ctx, forcing, dt, state.u, state.ou, state.n)
 

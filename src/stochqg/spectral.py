@@ -253,23 +253,31 @@ def compute_lambda1(vop: VerticalOperator) -> float:
     return float(min(1.0, vop.mu[1]))
 
 
+def _check_levels(grid: Grid, shape: tuple, trailing: tuple, what: str) -> None:
+    """Raise unless shape is (levels, *trailing) with 1 <= levels <= nz."""
+    if len(shape) != 3 or shape[1:] != trailing or not 1 <= shape[0] <= grid.nz:
+        raise ValueError(f"{what} shape {shape} does not match grid "
+                         f"{(grid.nz, *trailing)} or a block of its levels")
+
+
 def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Physical (nz, ny, nx) real field -> normalized spectral coefficients."""
+    """Physical (levels, ny, nx) real field -> normalized spectral coefficients.
+
+    ``levels`` is nz for a whole field or any smaller count for a block of
+    levels; each level is transformed on its own, so a block's result is
+    bitwise the same levels of the whole-field result.
+    """
     f = np.asarray(f)
-    if f.shape != (grid.nz, grid.ny, grid.nx):
-        raise ValueError(f"field shape {f.shape} does not match grid "
-                         f"{(grid.nz, grid.ny, grid.nx)}")
+    _check_levels(grid, f.shape, (grid.ny, grid.nx), "field")
     fhat = _fft.rfft2(f, axes=(1, 2))
     fhat /= grid.nx * grid.ny
     return fhat
 
 
 def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Normalized spectral coefficients -> physical real field."""
+    """Normalized spectral coefficients -> physical real field, whole or a level block."""
     fhat = np.asarray(fhat)
-    if fhat.shape != (grid.nz, grid.ny, grid.nkx):
-        raise ValueError(f"spectral shape {fhat.shape} does not match grid "
-                         f"{(grid.nz, grid.ny, grid.nkx)}")
+    _check_levels(grid, fhat.shape, (grid.ny, grid.nkx), "spectral")
     f = _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2))
     f *= grid.nx * grid.ny
     return f

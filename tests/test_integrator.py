@@ -227,6 +227,30 @@ class TestStepReport:
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
 
+    def test_equal_dt_object_reuses_report(self, ctx, grid, vop, monkeypatch):
+        # A dt equal to the report's but held in another float object, as a
+        # computed T / n would be, must not rebuild the report every step.
+        setup, u0 = self._setup(ctx, grid, vop)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["step_index"])
+            return setup_lift(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "setup_lift", counted)
+        assert float(str(H)) == H and float(str(H)) is not H
+        runs = []
+        for make_dt in (lambda: H, lambda: float(str(H))):
+            del calls[:]
+            st = initial_state(ctx, setup, u0, 0.0, H)
+            for _ in range(8):
+                st = step(st, make_dt(), ctx, setup)
+            runs.append((len(calls), st))
+        (n_same, st_same), (n_equal, st_equal) = runs
+        assert n_equal == n_same
+        assert np.array_equal(st_equal.u, st_same.u)
+        assert st_equal.xi == st_same.xi
+
     def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
         # The report made for the old u must not be used for the new one.
         setup, u0 = self._setup(ctx, grid, vop)

@@ -1,19 +1,24 @@
 """Operator algebra: A, G, J, B, C, D, f, and the three norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stochqg import operators
 from stochqg.operators import (
     apply_A,
     apply_B,
     apply_C,
     apply_D,
     build_context,
+    dealiased_product,
     eigenvalue_of,
     forcing_f,
     h2_scale,
     inner_h,
     jacobian,
+    level_blocks,
     norm_h,
     norms,
     apply_G,
@@ -23,7 +28,9 @@ from stochqg.spectral import (
     Grid,
     build_vertical_operator,
     forward_transform,
+    inverse_transform,
     make_profile,
+    remove_mean,
 )
 
 from conftest import mode_xy, random_field
@@ -136,6 +143,92 @@ class TestJacobian:
     def test_grid_mismatch(self, ctx):
         with pytest.raises(ValueError):
             jacobian(ctx, np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
+
+
+def whole_field_product(ctx, a, b, maxima=False):
+    """The Jacobian in one whole-field pass: the reference for the level blocks."""
+    grid = ctx.grid
+    ax = inverse_transform(grid, ctx.dxm_mult * a)
+    ay = inverse_transform(grid, ctx.dym_mult * a)
+    grad = (float(np.max(np.abs(ax))), float(np.max(np.abs(ay)))) if maxima else None
+    prod = ax * inverse_transform(grid, ctx.dym_mult * b)
+    prod -= ay * inverse_transform(grid, ctx.dxm_mult * b)
+    jhat = forward_transform(grid, prod)
+    jhat *= ctx.mask[None, :, :]
+    return jhat, grad
+
+
+def _context(nx, nz):
+    grid = Grid(nx=nx, ny=nx, nz=nz)
+    return build_context(grid, build_vertical_operator(make_profile(1.0, 1.0, nz), nz),
+                         nu=0.5, beta=1.0)
+
+
+@pytest.fixture(scope="module")
+def ctx128():
+    return _context(128, 17)
+
+
+class TestLevelBlocks:
+    """A field larger than L2 is multiplied a few levels at a time, bit for bit."""
+
+    def test_block_rule(self, ctx, ctx128):
+        assert ctx.blocks == (slice(0, 17),)
+        assert level_blocks(Grid(nx=64, ny=64, nz=33)) == (slice(0, 33),)
+        # 128x128 levels are 128 KiB each: 2 per block, then a 1-level tail.
+        assert ctx128.blocks == tuple(slice(lo, min(lo + 2, 17)) for lo in range(0, 17, 2))
+        assert len(level_blocks(Grid(nx=128, ny=128, nz=65))) == 33
+        assert level_blocks(Grid(nx=512, ny=512, nz=5))[:2] == (slice(0, 1), slice(1, 2))
+
+    @pytest.mark.parametrize("size", ["blocked", "single"])
+    @pytest.mark.parametrize("maxima", [True, False])
+    def test_matches_whole_field_pass(self, ctx, ctx128, size, maxima):
+        c = ctx128 if size == "blocked" else ctx
+        rng = np.random.default_rng(17)
+        a = random_field(c, rng)
+        b = random_field(c, rng)
+        jhat, grad = dealiased_product(c, a, b, maxima=maxima)
+        ref, ref_grad = whole_field_product(c, a, b, maxima=maxima)
+        assert np.array_equal(jhat, ref)
+        assert grad == ref_grad
+        if maxima:
+            assert all(isinstance(g, float) for g in grad)
+        remove_mean(ref, c.zw)
+        assert np.array_equal(jacobian(c, a, b), ref)
+
+    def test_blocked_peak_memory(self, ctx128):
+        rng = np.random.default_rng(18)
+        a = random_field(ctx128, rng)
+        b = random_field(ctx128, rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            jhat, _ = dealiased_product(ctx128, a, b, maxima=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * jhat.nbytes, peak / jhat.nbytes
+
+    def test_single_pass_transform_counts(self, monkeypatch):
+        c = _context(64, 33)
+        rng = np.random.default_rng(19)
+        a = random_field(c, rng)
+        b = random_field(c, rng)
+        counts = {"inverse": 0, "forward": 0}
+
+        def counted(kind, fn):
+            def wrapper(grid, f):
+                assert f.shape[0] == grid.nz
+                counts[kind] += 1
+                return fn(grid, f)
+            return wrapper
+
+        monkeypatch.setattr(operators, "inverse_transform",
+                            counted("inverse", operators.inverse_transform))
+        monkeypatch.setattr(operators, "forward_transform",
+                            counted("forward", operators.forward_transform))
+        dealiased_product(c, a, b, maxima=True)
+        assert counts == {"inverse": 4, "forward": 1}
 
 
 class TestApplyB:

@@ -141,6 +141,27 @@ class TestTransforms:
         with pytest.raises(ValueError):
             inverse_transform(grid, np.zeros((3, 3, 3), dtype=complex))
 
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 5), (4, 17), (16, 17), (0, 17)])
+    def test_level_block_matches_whole_field(self, grid, lo, hi):
+        rng = np.random.default_rng(13)
+        f = rng.standard_normal((grid.nz, grid.ny, grid.nx))
+        fhat = forward_transform(grid, f)
+        block = forward_transform(grid, f[lo:hi])
+        assert block.tobytes() == fhat[lo:hi].tobytes()
+        back = inverse_transform(grid, fhat[lo:hi])
+        assert back.tobytes() == inverse_transform(grid, fhat)[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (18,), (17, 32), (2, 17, 32, 32),
+                                       (2, 32, 31), (2, 31, 32)])
+    def test_level_block_shape_errors(self, grid, shape):
+        if len(shape) == 1:
+            shape = (shape[0], grid.ny, grid.nx)
+        with pytest.raises(ValueError):
+            forward_transform(grid, np.zeros(shape))
+        spec_shape = shape[:-1] + (grid.nkx,) if shape[-1] == grid.nx else shape
+        with pytest.raises(ValueError):
+            inverse_transform(grid, np.zeros(spec_shape, dtype=complex))
+
     def test_hermitian_from_real(self, grid):
         rng = np.random.default_rng(11)
         fhat = forward_transform(grid, rng.standard_normal((grid.nz, grid.ny, grid.nx)))

@@ -22,16 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import (
-    ForcingSetup,
-    advance_ou,
-    ensemble_stream,
-    init_ou_state,
-    setup_lift,
-    shift_path,
-    tail_slope,
-)
-from .integrator import initial_state, simulate, step, steps_per_noise
+from .forcing import ForcingSetup, ensemble_stream, init_ou_state, shift_path, tail_slope
+from .integrator import _lift_at, _ou_at, initial_state, simulate, step, steps_per_noise
 from .operators import OperatorContext, deriv_x, norm_h, norms, unit_eigenmode
 
 
@@ -133,16 +125,14 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
         raise ValueError(f"path [{path.t_min}, {path.t_max}] does not cover "
                          f"[{t_start}, {at}]")
 
-    shift_steps = path.local_shift * m
+    # Each step's OU state and lift follow the stepper's rules, so xi* sees its source.
     state = init_ou_state(forcing.model, path,
                           (np.floor_divide(n_at - n, m)) * h)
     src = np.empty(n + 1)
     for k in range(n + 1):
         nn = n_at - n + k
-        j_here = nn // m + path.local_shift
-        if j_here > state.j:
-            state = advance_ou(state, (j_here - state.j) * h, path, forcing.model)
-        lift = setup_lift(forcing, state, step_index=nn + shift_steps, dt=dt)
+        state = _ou_at(forcing, state, nn, dt)
+        lift = _lift_at(forcing, state, nn, dt)
         src[k] = (ctx.beta ** 2 / ctx.nu) * norms(ctx, deriv_x(ctx, lift)).vdual ** 2
     tau = dt * np.arange(-n, 1)
     w = np.exp(rate * tau)
@@ -243,8 +233,12 @@ def pullback_run(config: PullbackConfig, ctx: OperatorContext, forcing: ForcingS
     """Evolve absorbing-ball ensembles from -T to the observation time.
 
     Every horizon uses the same noise realization; the initial ball at -T has
-    squared radius 2 xi*(theta_{-T} omega).
+    squared radius 2 xi*(theta_{-T} omega).  ``config.phase`` must be the
+    forcing's periodic phase.
     """
+    if config.phase != forcing.periodic.phase:
+        raise ValueError(f"config phase {config.phase} differs from the forcing's "
+                         f"periodic phase {forcing.periodic.phase}")
     endpoints, diams, haus, xis = {}, {}, {}, {}
     prev_set = None
     for T in config.horizons:
@@ -342,8 +336,7 @@ def flow_estimate(ctx: OperatorContext, forcing: ForcingSetup,
     is how continuous-time sets are produced from the discrete-time estimate.
     """
     T = estimate.horizons[-1]
-    pts = [u.copy() for u in estimate.endpoints[T]]
-    states = [initial_state(ctx, forcing, u, 0.0, dt) for u in pts]
+    states = [initial_state(ctx, forcing, u, 0.0, dt) for u in estimate.endpoints[T]]
     n_rec = round(record_every / dt)
     out = [(0.0, [s.u for s in states])]
     n_total = round(t_end / dt)

@@ -21,9 +21,9 @@ is advanced by its exact affine update with the source held per step; xi
 bounds ||u||_H^2 along every run and its pullback limit xi* builds the
 absorbing ball.
 
-Each state carries a ``StepReport``: the values of that state which its own
-step and the run's diagnostics both need (vertical-mode coefficients, lift,
-xi source, norms, energy-budget terms), each computed once.
+Each state computes the values that its own step and the run's diagnostics
+both need (vertical-mode coefficients, lift, xi source, norms, energy-budget
+terms) on first use and keeps them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,33 +86,53 @@ class BlowupError(RuntimeError):
     """State left the theoretically absorbed region or became non-finite."""
 
 
-@dataclass(frozen=True, eq=False)
-class StepReport:
-    """Values of one state shared by the step from it and the run's diagnostics.
+@dataclass(frozen=True)
+class SimState:
+    """Flow state: transformed potential vorticity u, step count, OU state, xi.
 
-    ``step`` makes the report of the state it returns.  The next step reads
-    ``modes``, ``lift``, ``vdual_liftx`` (its xi source) and ``efac``
-    instead of recomputing them; the diagnostics read ``h2``, ``norms``,
-    ``vdual_liftx`` and ``budget_terms``.  The last two are computed on
-    first use, so runs without diagnostics never pay for them.  A report
-    belongs to the exact ``u`` array, OU state and step index it was made
-    for, under one context and forcing, at an equal dt (see ``_report_for``).
-    ``cfl_limit`` is the advective dt limit found at the start of the step
-    that produced the state (inf when no step did, or the step was linear).
+    A state made under a context and forcing (``ctx``, ``forcing``) computes
+    the values that its step and the run's diagnostics share on first use
+    and keeps them: ``modes``, ``lift``, ``vdual_liftx`` (the xi source),
+    ``h2``, ``norms``, ``budget_terms`` and ``efac`` for its dt.
+    ``dataclasses.replace`` makes a state that computes them afresh.  ``u``
+    is a value: modify a copy, not the array in place.
     """
 
     u: np.ndarray
-    ou: OUBoundaryState
     n: int
-    ctx: OperatorContext
-    forcing: ForcingSetup
     dt: float
-    efac: np.ndarray        # e^{-nu lam dt}
-    modes: np.ndarray       # to_modes(u)
-    lift: np.ndarray        # the lift at step n, its OU part held at ou
-    vdual_liftx: float      # ||lift_x||_{V'}
-    h2: float               # ||u||_H^2 = inner_h(u, u)
-    cfl_limit: float
+    ou: OUBoundaryState
+    xi: float
+    ctx: OperatorContext | None = field(default=None, compare=False, repr=False)
+    forcing: ForcingSetup | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def t(self) -> float:
+        return self.n * self.dt
+
+    @functools.cached_property
+    def efac(self) -> np.ndarray:
+        """e^{-nu lam dt}."""
+        return np.exp(-self.ctx.nu * self.ctx.lam * self.dt)
+
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        return to_modes(self.ctx, self.u)
+
+    @functools.cached_property
+    def lift(self) -> np.ndarray:
+        """The lift at step n, its OU part held at ``ou``."""
+        return _lift_at(self.forcing, self.ou, self.n, self.dt)
+
+    @functools.cached_property
+    def vdual_liftx(self) -> float:
+        """||lift_x||_{V'}."""
+        return norms(self.ctx, deriv_x(self.ctx, self.lift)).vdual
+
+    @functools.cached_property
+    def h2(self) -> float:
+        """||u||_H^2 = inner_h(u, u)."""
+        return inner_h(self.ctx, self.u, self.u)
 
     @functools.cached_property
     def norms(self) -> Norms:
@@ -122,43 +142,6 @@ class StepReport:
     def budget_terms(self) -> tuple[float, float, float]:
         """(||u||_H^2, ||u||_V, <lift_x, u>): this state's energy-budget terms."""
         return self.h2, self.norms.v, inner_h(self.ctx, deriv_x(self.ctx, self.lift), self.u)
-
-
-def _report(ctx: OperatorContext, forcing: ForcingSetup, dt: float, u: np.ndarray,
-            ou: OUBoundaryState, n: int, efac=None, h2=None,
-            cfl_limit: float = np.inf, lift=None) -> StepReport:
-    """The report of state (u, ou, n); ``efac``, ``h2`` and ``lift`` are computed unless given."""
-    if efac is None:
-        efac = np.exp(-ctx.nu * ctx.lam * dt)
-    if h2 is None:
-        h2 = inner_h(ctx, u, u)
-    if lift is None:
-        lift = _lift_at(forcing, ou, n, dt)
-    return StepReport(u=u, ou=ou, n=n, ctx=ctx, forcing=forcing, dt=dt, efac=efac,
-                      modes=to_modes(ctx, u), lift=lift,
-                      vdual_liftx=norms(ctx, deriv_x(ctx, lift)).vdual, h2=h2,
-                      cfl_limit=cfl_limit)
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Flow state: transformed potential vorticity u, step count, OU state, xi.
-
-    ``report`` holds values already computed for this state; it is used only
-    while it matches the state, so ``dataclasses.replace`` is safe.  ``u`` is
-    a value: modify a copy, not the array in place.
-    """
-
-    u: np.ndarray
-    n: int
-    dt: float
-    ou: OUBoundaryState
-    xi: float
-    report: StepReport | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def t(self) -> float:
-        return self.n * self.dt
 
 
 @dataclass(frozen=True)
@@ -223,6 +206,15 @@ def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
     return lim
 
 
+def _ou_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> OUBoundaryState:
+    """The OU state held over step n: ``ou`` advanced to step n's noise gridpoint."""
+    path = forcing.path
+    j = _noise_index(n, steps_per_noise(dt, path.dt_noise)) + path.local_shift
+    if j > ou.j:
+        ou = advance_ou(ou, (j - ou.j) * path.dt_noise, path, forcing.model)
+    return ou
+
+
 def _lift_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> np.ndarray:
     """The lift at step n of a run with step dt, the OU part held at ``ou``."""
     path = forcing.path
@@ -246,23 +238,8 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     return _xi_update(xi, norms(ctx, deriv_x(ctx, coef)).vdual, dt, ctx)
 
 
-def _report_for(state: SimState, ctx: OperatorContext, forcing: ForcingSetup,
-                dt: float) -> StepReport:
-    """The state's own report if it was made for exactly these inputs, else a new one.
-
-    The fields, context and forcing must be the very objects the report was
-    made from; dt only has to be equal, so a computed dt such as ``T / n``
-    still reuses it.
-    """
-    rep = state.report
-    if (rep is not None and rep.u is state.u and rep.ou is state.ou and rep.n == state.n
-            and rep.ctx is ctx and rep.forcing is forcing and rep.dt == dt):
-        return rep
-    return _report(ctx, forcing, dt, state.u, state.ou, state.n)
-
-
 def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup,
-         linear_only: bool = False, check_cfl: bool = True) -> SimState:
+         linear_only: bool = False) -> SimState:
     """One IMEX step from t = n*dt to (n+1)*dt.
 
     Predictor/corrector on the integrating-factor-transformed system:
@@ -273,19 +250,18 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     """
     if dt != state.dt:
         raise ValueError("step size differs from the state's clock")
-    path = forcing.path
-    m = steps_per_noise(dt, path.dt_noise)
+    if state.ctx is not ctx or state.forcing is not forcing:
+        state = replace(state, ctx=ctx, forcing=forcing)
     n1 = state.n + 1
-    rep0 = _report_for(state, ctx, forcing, dt)
-    efac = rep0.efac
-    c0 = rep0.modes
+    efac = state.efac
+    c0 = state.modes
 
     # Each field-sized temporary is dropped as soon as it is consumed.
     psi = from_modes(ctx, -ctx.inv_lam * c0)
-    psi += rep0.lift
+    psi += state.lift
     r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
     del psi
-    if check_cfl and not linear_only and dt > limit:
+    if dt > limit:
         raise CFLViolation(dt, limit)
     n0_modes = to_modes(ctx, r0)
     del r0
@@ -296,10 +272,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     psi = from_modes(ctx, -ctx.inv_lam * c_pred)
     del c_pred
 
-    j_new = _noise_index(n1, m) + path.local_shift
-    ou1 = state.ou
-    if j_new > ou1.j:
-        ou1 = advance_ou(ou1, (j_new - ou1.j) * path.dt_noise, path, forcing.model)
+    ou1 = _ou_at(forcing, state.ou, n1, dt)
 
     # The stochastic coefficients are held over the whole step (the corrector
     # sees the left limit at a noise gridpoint); only the periodic factor
@@ -319,7 +292,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     del c1
     remove_mean(u1, ctx.zw)
 
-    xi1 = _xi_update(state.xi, rep0.vdual_liftx, dt, ctx)
+    xi1 = _xi_update(state.xi, state.vdual_liftx, dt, ctx)
 
     h2 = inner_h(ctx, u1, u1)
     if not np.isfinite(h2):
@@ -327,14 +300,16 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
         raise BlowupError(f"||u||_H exceeded 1e3*sqrt(2 xi) at t={n1 * dt:g}")
 
-    rep1 = _report(ctx, forcing, dt, u1, ou1, n1, efac=efac, h2=h2, cfl_limit=limit,
-                   lift=lift1)
-    return SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1, report=rep1)
+    new = SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1, ctx=ctx, forcing=forcing)
+    # Seed the cache: cached_property returns what the instance __dict__ holds.
+    new.__dict__.update(efac=efac, h2=h2)
+    if lift1 is not None:
+        new.__dict__["lift"] = lift1
+    return new
 
 
 def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
-                  t0: float, dt: float, xi0: float | None = None,
-                  init: str = "stationary") -> SimState:
+                  t0: float, dt: float, xi0: float | None = None) -> SimState:
     """SimState at t0, with the OU state at the last noise gridpoint <= t0.
 
     The mean-zero projection is applied only when the input actually has a
@@ -353,17 +328,17 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
         u0 = project_mean_zero(ctx.grid, u0, ctx.zw)
     else:
         u0 = u0.copy()
-    ou = init_ou_state(forcing.model, path, _noise_index(n0, m) * path.dt_noise, init=init)
-    report = _report(ctx, forcing, dt, u0, ou, n0)
-    if xi0 is None:
-        xi0 = report.h2
-    return SimState(u=u0, n=n0, dt=dt, ou=ou, xi=float(xi0), report=report)
+    ou = init_ou_state(forcing.model, path, _noise_index(n0, m) * path.dt_noise)
+    h2 = inner_h(ctx, u0, u0)
+    state = SimState(u=u0, n=n0, dt=dt, ou=ou, xi=float(h2 if xi0 is None else xi0),
+                     ctx=ctx, forcing=forcing)
+    state.__dict__["h2"] = h2  # seeds the cached_property, as in step
+    return state
 
 
 def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
              t0: float, t1: float, dt: float, snapshot_every: int = 0,
-             xi0: float | None = None, linear_only: bool = False,
-             check_cfl: bool = True, record_diagnostics: bool = True,
+             linear_only: bool = False, record_diagnostics: bool = True,
              snapshot_sink=None) -> SimResult:
     """Advance from t0 to t1, recording diagnostics each step.
 
@@ -376,7 +351,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     """
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
-    state = initial_state(ctx, forcing, u0, t0, dt, xi0=xi0)
+    state = initial_state(ctx, forcing, u0, t0, dt)
     del u0  # the state holds its own copy
     n_steps = round((t1 - t0) / dt)
     if abs((t0 + n_steps * dt) - t1) > 1e-9 * max(1.0, abs(t1)):
@@ -390,12 +365,12 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     snapshot_sink(state.t, state.u)
     diagnostics = []
     # Each state's budget terms serve the steps on either side of it.
-    terms = _report_for(state, ctx, forcing, dt).budget_terms if record_diagnostics else None
+    terms = state.budget_terms if record_diagnostics else None
     for k in range(n_steps):
         t_prev = state.t
-        state = step(state, dt, ctx, forcing, linear_only=linear_only, check_cfl=check_cfl)
+        state = step(state, dt, ctx, forcing, linear_only=linear_only)
         if record_diagnostics:
-            record, terms = _record(ctx, forcing, dt, state, t_prev, terms)
+            record, terms = _record(ctx, state, t_prev, terms)
             diagnostics.append(record)
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:
             snapshot_sink(state.t, state.u)
@@ -403,17 +378,17 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     return SimResult(final=state, snapshots=snapshots, diagnostics=diagnostics)
 
 
-def _record(ctx: OperatorContext, forcing: ForcingSetup, dt: float, state: SimState,
-            t_prev: float, start) -> tuple[DiagnosticsRecord, tuple]:
+def _record(ctx: OperatorContext, state: SimState, t_prev: float,
+            start) -> tuple[DiagnosticsRecord, tuple]:
     """The record of the step from t_prev to ``state``, and the state's budget terms.
 
     ``start`` holds the budget terms of the step's first state.
     """
-    rep = _report_for(state, ctx, forcing, dt)
-    end = rep.budget_terms
+    end = state.budget_terms
     record = DiagnosticsRecord(
-        t=state.t, h=rep.norms.h, v=rep.norms.v, vdual_liftx=rep.vdual_liftx,
-        xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, end), dt=dt)
+        t=state.t, h=state.norms.h, v=state.norms.v, vdual_liftx=state.vdual_liftx,
+        xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, end),
+        dt=state.dt)
     return record, end
 
 

@@ -372,7 +372,7 @@ def test_criterion_6_dynamical_systems(desk, dyn):
                         f"> bound {a.truncation_bound:.3e}")
 
     # (d) Pullback diameter strictly decreasing (median over 10 seeds).
-    cfg = PullbackConfig(horizons=DYN_T, ensemble=8, leading_modes=8, seed=77)
+    cfg = PullbackConfig(horizons=DYN_T, ensemble=8, leading_modes=8, seed=77, phase=0.2)
     diam = {T: [] for T in DYN_T}
     estimates = []
     for seed in range(10):

@@ -9,6 +9,7 @@ from stochqg.attractor import (
     PullbackConfig,
     absorbing_ball,
     cocycle_check,
+    default_quad_horizon,
     diameter,
     dist_h,
     estimate_xi_star,
@@ -33,7 +34,7 @@ from stochqg.forcing import (
 )
 from stochqg.integrator import simulate, xi_step, steps_per_noise
 from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
-from stochqg.operators import build_context, inner_h, norm_h, unit_eigenmode
+from stochqg.operators import build_context, deriv_x, inner_h, norm_h, norms, unit_eigenmode
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
 
 DT = 0.125  # dyadic step, 8 per unit time; noise grid equals the step grid
@@ -50,6 +51,29 @@ def dyn_forcing(grid, vop, q0=0.05, amp=0.4, phase=0.2, seed=5, t_min=-64.0, t_m
     coef = amp * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
     periodic = PeriodicFlux(BoundaryFlux(coef), phase=phase)
     return build_forcing(grid, vop, model, periodic, path)
+
+
+def _xi_star_reference(ctx, forcing, at, dt):
+    """The xi* quadrature with the OU advance and the lift's step shift written out."""
+    path = forcing.path
+    h = path.dt_noise
+    m = steps_per_noise(dt, h)
+    rate = ctx.nu * ctx.lambda1
+    n = int(np.ceil(default_quad_horizon(ctx) / dt))
+    n_at = round(at / dt)
+    state = init_ou_state(forcing.model, path, np.floor_divide(n_at - n, m) * h)
+    src = np.empty(n + 1)
+    for k in range(n + 1):
+        nn = n_at - n + k
+        j_here = nn // m + path.local_shift
+        if j_here > state.j:
+            state = advance_ou(state, (j_here - state.j) * h, path, forcing.model)
+        lift = setup_lift(forcing, state, step_index=nn + path.local_shift * m, dt=dt)
+        src[k] = (ctx.beta ** 2 / ctx.nu) * norms(ctx, deriv_x(ctx, lift)).vdual ** 2
+    w = np.exp(rate * dt * np.arange(-n, 1))
+    return (float(np.trapezoid(w * src, dx=dt)),
+            float(np.sum(w[:-1] * src[:-1] * (1.0 - np.exp(-rate * dt)) / rate)),
+            float(np.exp(-rate * n * dt) * src.max() / rate))
 
 
 class TestXiStar:
@@ -97,6 +121,17 @@ class TestXiStar:
         setup = dyn_forcing(grid, vop, t_min=-16.0)
         with pytest.raises(ValueError):
             estimate_xi_star(ctx, setup, at=0.0, quad_horizon=40.0, dt=DT)
+
+    @pytest.mark.parametrize("dt, shift", [(DT, 0.0), (DT / 2, 0.0), (DT / 2, 3.0)])
+    def test_matches_written_out_quadrature(self, grid, vop, dt, shift):
+        # The stepper's lift and OU rules give the written-out quadrature
+        # bitwise, on the noise grid, between its points and on a shifted path.
+        ctx = dyn_ctx(grid, vop)
+        setup = dyn_forcing(grid, vop, t_min=-96.0)
+        setup = dataclasses.replace(setup, path=shift_path(setup.path, shift))
+        est = estimate_xi_star(ctx, setup, at=-1.0, dt=dt)
+        assert (est.value, est.held_value, est.truncation_bound) == \
+            _xi_star_reference(ctx, setup, -1.0, dt)
 
     def test_pullback_window_is_tight(self, grid, vop):
         # dt = dt_noise/2 and an odd step count in the quadrature window, so
@@ -284,7 +319,8 @@ class TestPullback:
 
     def test_diameter_decreases(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
-        cfg = PullbackConfig(horizons=(1, 2, 4), ensemble=8, leading_modes=8, seed=11)
+        cfg = PullbackConfig(horizons=(1, 2, 4), ensemble=8, leading_modes=8, seed=11,
+                             phase=0.2)
         medians = {T: [] for T in cfg.horizons}
         for seed in (21, 22, 23):
             setup = dyn_forcing(grid, vop, seed=seed)
@@ -295,13 +331,20 @@ class TestPullback:
         assert med[2] < med[1]
         assert med[4] < med[2]
 
+    def test_phase_must_match_forcing(self, grid, vop):
+        ctx = dyn_ctx(grid, vop)
+        setup = dyn_forcing(grid, vop, phase=0.2)
+        cfg = PullbackConfig(horizons=(1,), ensemble=8, leading_modes=8, phase=0.3)
+        with pytest.raises(ValueError, match="phase"):
+            pullback_run(cfg, ctx, setup, DT)
+
     def test_sampling_rule_independence(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop)
         ends = {}
         for rule in ("sphere", "ball"):
             cfg = PullbackConfig(horizons=(8,), ensemble=8, sampling_rule=rule,
-                                 leading_modes=8, seed=13)
+                                 leading_modes=8, seed=13, phase=0.2)
             est = pullback_run(cfg, ctx, setup, DT)
             ends[rule] = (est.endpoints[8], est.diameters[8])
         d = hausdorff(ctx, ends["sphere"][0], ends["ball"][0])
@@ -321,7 +364,7 @@ class TestInvariance:
     def test_zero_forcing(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop, q0=0.0, amp=0.0)
-        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=15)
+        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=15, phase=0.2)
         est = pullback_run(cfg, ctx, setup, DT)
         assert est.diameters[2] == 0.0  # ball {0} evolves to {0}
         assert invariance_check(est, ctx, setup, 1.0, DT) == 0.0
@@ -329,14 +372,14 @@ class TestInvariance:
     def test_t_zero(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop)
-        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=15)
+        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=15, phase=0.2)
         est = pullback_run(cfg, ctx, setup, DT)
         assert invariance_check(est, ctx, setup, 0.0, DT) == 0.0
 
     def test_triangle_budget(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop)
-        cfg = PullbackConfig(horizons=(4, 8), ensemble=8, leading_modes=8, seed=16)
+        cfg = PullbackConfig(horizons=(4, 8), ensemble=8, leading_modes=8, seed=16, phase=0.2)
         est = pullback_run(cfg, ctx, setup, DT)
         d = invariance_check(est, ctx, setup, 2.0, DT)
         budget = 2.0 * (est.diameters[8] + est.diameters[4]
@@ -374,7 +417,7 @@ class TestFlowEstimate:
     def test_records_expected_times(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop, t_max=16.0)
-        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=19)
+        cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=19, phase=0.2)
         est = pullback_run(cfg, ctx, setup, DT)
         series = flow_estimate(ctx, setup, est, DT, t_end=3.0)
         assert [t for t, _ in series] == [0.0, 1.0, 2.0, 3.0]

@@ -248,6 +248,17 @@ class TestCLI:
         row = lines[3].split(",")
         assert float(row[1]) >= 0.0 and float(row[3]) > 0.0
 
+    def test_pullback_nonzero_phase(self, tmp_path, capsys):
+        # The pullback config and the forcing both take periodic.phase.
+        out = tmp_path / "pb"
+        rc = main(["pullback", "--set", f"output.dir={out}",
+                   "--set", "pullback.horizons=1",
+                   "--set", "pullback.leading_modes=6",
+                   "--set", "pullback.quad_horizon=24",
+                   "--set", "periodic.phase=0.3", "--set", "periodic.amplitude=0.3"] + FAST)
+        assert rc == 0
+        assert (out / "attractor_report.csv").exists()
+
     def test_pullback_defaults_extend_seeded_path(self, tmp_path, capsys):
         # The default quadrature horizon reaches far behind the default
         # noise.t_min; a seed-derived path is widened to the plan.

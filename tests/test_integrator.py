@@ -163,7 +163,7 @@ class TestSimulate:
 
 
 class TestStepReport:
-    """Each state's report is reused by its step and the diagnostics; no bit may move."""
+    """Each state's shared values are reused by its step and the diagnostics; no bit may move."""
 
     def _setup(self, ctx, grid, vop):
         setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=11)
@@ -199,7 +199,7 @@ class TestStepReport:
         st = initial_state(ctx, setup, u0, 0.0, H)
         xis = []
         for _ in range(16):
-            st = step(dataclasses.replace(st, report=None), H, ctx, setup)
+            st = step(dataclasses.replace(st), H, ctx, setup)
             xis.append(st.xi)
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
@@ -222,7 +222,7 @@ class TestStepReport:
         st = initial_state(ctx, setup, u0, 0.0, dt)
         xis = []
         for _ in range(8):
-            st = step(dataclasses.replace(st, report=None), dt, ctx, setup)
+            st = step(dataclasses.replace(st), dt, ctx, setup)
             xis.append(st.xi)
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
@@ -260,6 +260,45 @@ class TestStepReport:
         fresh = step(initial_state(ctx, setup, other, st.t, H, xi0=st.xi), H, ctx, setup)
         assert np.array_equal(edited.u, fresh.u)
         assert edited.xi == fresh.xi
+
+
+    @pytest.mark.parametrize("change", ["forcing", "context"])
+    def test_state_from_other_setup_steps_like_fresh_state(self, ctx, grid, vop, change):
+        # A state made under forcing (or context) A, with its lift, modes,
+        # xi source and efac already computed, is stepped under B: none of
+        # A's values may be used.
+        setup_a, u0 = self._setup(ctx, grid, vop)
+        setup_b, ctx_b = setup_a, ctx
+        if change == "forcing":  # the same noise path, another periodic flux
+            setup_b = forcing_for(grid, vop, q0=0.05, amp=0.5, phase=0.4, seed=11)
+        else:
+            ctx_b = build_context(grid, vop, nu=2.0 * ctx.nu, beta=ctx.beta)
+        st = step(initial_state(ctx, setup_a, u0, 0.0, H), H, ctx, setup_a)
+        _ = st.vdual_liftx, st.modes  # fills A's cache
+        assert {"efac", "lift", "modes", "vdual_liftx"} <= set(vars(st))
+        moved = step(st, H, ctx_b, setup_b)
+        fresh = step(initial_state(ctx_b, setup_b, st.u, st.t, H, xi0=st.xi), H, ctx_b, setup_b)
+        assert np.array_equal(moved.u, fresh.u)
+        assert moved.xi == fresh.xi
+        stayed = step(st, H, ctx, setup_a)
+        assert not np.array_equal(moved.u, stayed.u)
+
+    def test_final_state_values_not_built_without_diagnostics(self, ctx, grid, vop,
+                                                              monkeypatch):
+        # At dt = dt_noise every step crosses a noise gridpoint: each state
+        # 0..7 builds its lift for its step, and each step builds the
+        # corrector's.  The final state, which nothing reads, builds none.
+        setup, u0 = self._setup(ctx, grid, vop)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["step_index"])
+            return setup_lift(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "setup_lift", counted)
+        res = simulate(ctx, setup, u0, 0.0, 8 * H, H, record_diagnostics=False)
+        assert len(calls) == 16
+        assert "lift" not in vars(res.final) and "modes" not in vars(res.final)
 
 
 def _traced_peak(fn) -> tuple[int, object]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .forcing import ForcingSetup, ensemble_stream, init_ou_state, shift_path, tail_slope
 from .integrator import _lift_at, _ou_at, initial_state, simulate, step, steps_per_noise
-from .operators import OperatorContext, deriv_x, norm_h, norms, unit_eigenmode
+from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ class PullbackConfig:
     quad_horizon: float | None = None
 
     def __post_init__(self):
-        if list(self.horizons) != sorted(self.horizons) or len(self.horizons) == 0:
-            raise ValueError("horizons must be a nonempty increasing sequence")
+        hs = self.horizons
+        if len(hs) == 0 or hs[0] <= 0 or any(b <= a for a, b in zip(hs, hs[1:])):
+            raise ValueError("horizons must be a nonempty strictly increasing sequence "
+                             "of positive times")
         if self.ensemble < 8:
             raise ValueError("ensemble size must be at least 8")
         if self.sampling_rule not in ("sphere", "ball"):
@@ -132,8 +134,8 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
     for k in range(n + 1):
         nn = n_at - n + k
         state = _ou_at(forcing, state, nn, dt)
-        lift = _lift_at(forcing, state, nn, dt)
-        src[k] = (ctx.beta ** 2 / ctx.nu) * norms(ctx, deriv_x(ctx, lift)).vdual ** 2
+        vdual = lift_terms(ctx, forcing.support, _lift_at(forcing, state, nn, dt))[0]
+        src[k] = (ctx.beta ** 2 / ctx.nu) * vdual ** 2
     tau = dt * np.arange(-n, 1)
     w = np.exp(rate * tau)
     trap = float(np.trapezoid(w * src, dx=dt))

@@ -218,8 +218,8 @@ def validate_config(cfg: SimConfig) -> list[str]:
         errs.append("pullback.ensemble must be at least 8")
     try:
         hs = horizon_list(cfg)
-        if not hs or hs != sorted(hs) or any(h <= 0 for h in hs):
-            errs.append("pullback.horizons must be increasing positive integers")
+        if not hs or hs[0] <= 0 or any(b <= a for a, b in zip(hs, hs[1:])):
+            errs.append("pullback.horizons must be strictly increasing positive integers")
     except ValueError:
         errs.append(f"pullback.horizons: cannot parse {cfg.horizons!r}")
     return errs

@@ -8,7 +8,9 @@ dynamics consumes only the harmonic lift of the flux,
     lift(t) = sum_i sqrt(q_i) zeta_i(t) G~(e_i)  +  sin(2pi (t + phase)) G~(u0),
 
 since the interior part of the compensating process cancels from the
-transformed equation and from the streamfunction reconstruction.
+transformed equation and from the streamfunction reconstruction.  Each
+lift is nonzero on at most two horizontal columns, so it is held and
+assembled on those columns only.
 
 Noise paths store Wiener increments on a fixed grid dt_noise, indexed by
 *absolute* step number so that shifted paths read the same stored values
@@ -324,52 +326,56 @@ class ForcingSetup:
     ``model``: boundary-noise covariance weights and correlation time.
     ``periodic``: the deterministic top-face flux u0 sin(2pi (t + phase)).
     ``path``: the stored noise path that drives the OU state.
-    ``periodic_lift``: G~(u0), the dense (nz, ny, nkx) lift of u0.
-    ``entries``: the mode-lift basis; per mode, its nonzero columns as
-    (li, ki, profile) triples.
+    ``support``: (li, ki) integer index arrays of the horizontal columns on
+    which any lift is nonzero, in row-major order.
+    ``basis``: (n_modes + 1, nz, ncols) lift basis on those columns: the
+    lift of each noise mode, then G~(u0), the lift of the periodic flux.
     """
 
     model: NoiseModel
     periodic: PeriodicFlux
     path: NoisePath
-    periodic_lift: np.ndarray
-    entries: tuple
+    support: tuple[np.ndarray, np.ndarray]
+    basis: np.ndarray
 
 
 def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
                   periodic: PeriodicFlux, path: NoisePath) -> ForcingSetup:
     if model.n_modes != path.n_modes:
         raise ValueError(f"noise model has {model.n_modes} modes, path has {path.n_modes}")
-    entries = []
-    for mode in model.modes:
-        # Keep only the nonzero columns; the dense lift is dropped per mode.
-        coef = solve_lift(grid, vop, mode_flux(grid, mode)).coef
-        cols = np.argwhere(np.any(coef != 0.0, axis=0))
-        entries.append(tuple((int(li), int(ki), coef[:, li, ki].copy())
-                             for li, ki in cols))
+    fluxes = [mode_flux(grid, mode) for mode in model.modes] + [periodic.u0]
+    # A lift is nonzero exactly on its flux's nonzero columns.  The lifts are
+    # solved one at a time and each is kept on the support columns only.
+    li, ki = np.nonzero(np.any([f.coef != 0.0 for f in fluxes], axis=0))
+    basis = np.array([solve_lift(grid, vop, f).coef[:, li, ki] for f in fluxes])
     return ForcingSetup(model=model, periodic=periodic, path=path,
-                        periodic_lift=solve_lift(grid, vop, periodic.u0).coef,
-                        entries=tuple(entries))
+                        support=(li, ki), basis=basis)
+
+
+def lift_columns(setup: ForcingSetup, state: OUBoundaryState,
+                 step_index: int | None = None, dt: float | None = None) -> np.ndarray:
+    """Harmonic lift at t = step_index * dt (default: the OU gridpoint), on ``setup.support``.
+
+    lift(t) = sum_i sqrt(q_i) zeta_i l_i + sin(2pi (t + phase)) G~(u0): the
+    amplitudes times ``setup.basis``, shape (nz, ncols).  The stochastic
+    part is sample-held at the state's gridpoint.
+    """
+    if step_index is None:
+        step_index, dt = state.j, state.dt_noise
+    amp = np.append(np.sqrt(setup.model.q) * state.zeta,
+                    periodic_factor(setup.periodic, step_index, dt))
+    # numpy's einsum rather than a BLAS product, whose result could depend on
+    # the thread count; the real amplitudes act on the float view of the basis.
+    flat = setup.basis.reshape(amp.size, -1).view(np.float64)
+    return np.einsum("i,ic->c", amp, flat).view(np.complex128).reshape(setup.basis.shape[1:])
 
 
 def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
                step_index: int | None = None, dt: float | None = None) -> np.ndarray:
-    """Harmonic lift at t = step_index * dt (default: the OU gridpoint).
-
-    lift(t) = sum_i sqrt(q_i) zeta_i l_i + sin(2pi (t + phase)) G~(u0),
-    assembled on the nonzero columns of each l_i; the stochastic part is
-    sample-held at the state's gridpoint.
-    """
-    if step_index is None:
-        step_index, dt = state.j, state.dt_noise
-    factor = periodic_factor(setup.periodic, step_index, dt)
-    out = factor * setup.periodic_lift
-    if setup.model.n_modes:
-        amp = np.sqrt(setup.model.q) * state.zeta
-        for a, cols in zip(amp, setup.entries):
-            if a != 0.0:
-                for li, ki, prof in cols:
-                    out[:, li, ki] += a * prof
+    """The dense (nz, ny, nkx) lift: ``lift_columns`` scattered into zeros."""
+    li, ki = setup.support
+    out = np.zeros((setup.basis.shape[1], *setup.periodic.u0.coef.shape), dtype=complex)
+    out[:, li, ki] = lift_columns(setup, state, step_index, dt)
     return out
 
 

@@ -23,7 +23,8 @@ absorbing ball.
 
 Each state computes the values that its own step and the run's diagnostics
 both need (vertical-mode coefficients, lift, xi source, norms, energy-budget
-terms) on first use and keeps them.
+terms) on first use and keeps them.  The lift lives on the columns of
+``ForcingSetup.support``, and the step adds it to psi there.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .forcing import (ForcingSetup, OUBoundaryState, advance_ou, check_byte_count,
-                      init_ou_state, setup_lift)
+                      init_ou_state, lift_columns)
 from .operators import (
     Norms,
     OperatorContext,
@@ -46,7 +47,9 @@ from .operators import (
     deriv_x,
     from_modes,
     inner_h,
+    lift_terms,
     modal_norms,
+    nonzero_columns,
     norms,
     to_modes,
 )
@@ -92,8 +95,9 @@ class SimState:
 
     A state made under a context and forcing (``ctx``, ``forcing``) computes
     the values that its step and the run's diagnostics share on first use
-    and keeps them: ``modes``, ``lift``, ``vdual_liftx`` (the xi source),
-    ``h2``, ``norms``, ``budget_terms`` and ``efac`` for its dt.
+    and keeps them: ``modes``, ``lift`` (on ``forcing.support``),
+    ``vdual_liftx`` (the xi source), ``h2``, ``norms``, ``budget_terms`` and
+    ``efac`` for its dt.
     ``dataclasses.replace`` makes a state that computes them afresh.  ``u``
     is a value: modify a copy, not the array in place.
     """
@@ -121,13 +125,13 @@ class SimState:
 
     @functools.cached_property
     def lift(self) -> np.ndarray:
-        """The lift at step n, its OU part held at ``ou``."""
+        """The lift at step n on ``forcing.support``, its OU part held at ``ou``."""
         return _lift_at(self.forcing, self.ou, self.n, self.dt)
 
     @functools.cached_property
     def vdual_liftx(self) -> float:
         """||lift_x||_{V'}."""
-        return norms(self.ctx, deriv_x(self.ctx, self.lift)).vdual
+        return lift_terms(self.ctx, self.forcing.support, self.lift)[0]
 
     @functools.cached_property
     def h2(self) -> float:
@@ -141,7 +145,8 @@ class SimState:
     @functools.cached_property
     def budget_terms(self) -> tuple[float, float, float]:
         """(||u||_H^2, ||u||_V, <lift_x, u>): this state's energy-budget terms."""
-        return self.h2, self.norms.v, inner_h(self.ctx, deriv_x(self.ctx, self.lift), self.u)
+        flux = lift_terms(self.ctx, self.forcing.support, self.lift, self.u)[1]
+        return self.h2, self.norms.v, flux
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,10 @@ def _ou_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> OUB
 
 
 def _lift_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> np.ndarray:
-    """The lift at step n of a run with step dt, the OU part held at ``ou``."""
+    """The lift at step n of a run with step dt on ``forcing.support``, OU part held at ``ou``."""
     path = forcing.path
     shift_steps = path.local_shift * steps_per_noise(dt, path.dt_noise)
-    return setup_lift(forcing, ou, step_index=n + shift_steps, dt=dt)
+    return lift_columns(forcing, ou, step_index=n + shift_steps, dt=dt)
 
 
 def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -> float:
@@ -235,7 +240,7 @@ def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -
 def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     """Exact affine update of the energy-bound process, source held per step."""
     coef = getattr(lift, "coef", lift)
-    return _xi_update(xi, norms(ctx, deriv_x(ctx, coef)).vdual, dt, ctx)
+    return _xi_update(xi, lift_terms(ctx, *nonzero_columns(coef))[0], dt, ctx)
 
 
 def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup,
@@ -257,8 +262,9 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     c0 = state.modes
 
     # Each field-sized temporary is dropped as soon as it is consumed.
+    li, ki = forcing.support
     psi = from_modes(ctx, -ctx.inv_lam * c0)
-    psi += state.lift
+    psi[:, li, ki] += state.lift
     r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
     del psi
     if dt > limit:
@@ -280,7 +286,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     # quadrature exactly consistent with the sample-held forcing.  A step
     # that crosses no noise gridpoint ends with this same lift.
     lift1 = _lift_at(forcing, state.ou, n1, dt)
-    psi += lift1
+    psi[:, li, ki] += lift1
     if ou1 is not state.ou:
         lift1 = None
     r1, _ = _rhs(ctx, u_pred, psi, linear_only)
@@ -408,8 +414,8 @@ def energy_budget(ctx: OperatorContext, prev: SimState, nxt: SimState,
     energy-neutral operators B, C, D.
     """
     def terms(u, lift):
-        lift = getattr(lift, "coef", lift)
-        return inner_h(ctx, u, u), norms(ctx, u).v, inner_h(ctx, deriv_x(ctx, lift), u)
+        flux = lift_terms(ctx, *nonzero_columns(getattr(lift, "coef", lift)), u)[1]
+        return inner_h(ctx, u, u), norms(ctx, u).v, flux
 
     return _budget_residual(ctx, nxt.t - prev.t, terms(prev.u, lift_prev),
                             terms(nxt.u, lift_next))

@@ -14,7 +14,9 @@ composite operators are
     f(lift)    = -beta * lift_x      boundary-induced source
 
 B, C and D are all energy-neutral: their H inner product with u vanishes to
-rounding.
+rounding.  The vertical-mode transforms are one matrix product each, the
+quadrature weights folded in; a lift's xi source and energy flux are sums
+over its few nonzero columns (``lift_terms``).
 
 All operations are pure functions of (context, fields); the context is
 read-only after construction and safe to share.
@@ -72,15 +74,12 @@ class OperatorContext:
     inv_lam: np.ndarray    # (nz, ny, nkx), zero at the null slot
     colw: np.ndarray       # (nkx,) rfft column multiplicities
     zw: np.ndarray         # (nz,) trapezoid weights
-    sqrtw: np.ndarray      # (nz,)
-    yhat: np.ndarray       # (nz, nz) orthonormal vertical eigenvectors
+    phi_inv: np.ndarray    # (nz, nz) yhat^T W^(1/2), the inverse of vop.phi
     action: np.ndarray     # (nz, nz) dense vertical operator on levels
     mask: np.ndarray       # (ny, nkx) dealias mask
     dx_mult: np.ndarray    # (1, 1, nkx) i*kx, Nyquist zeroed
     dxm_mult: np.ndarray   # (1, ny, nkx) dealiased i*kx
     dym_mult: np.ndarray   # (1, ny, nkx) dealiased i*ky
-    yhat_t: np.ndarray     # contiguous transpose of yhat
-    inv_sqrtw: np.ndarray  # (nz,)
     hfac: float            # (2*pi)^2, quadrature prefactor of horizontal sums
     blocks: tuple[slice, ...]  # level slices of the Jacobian (``level_blocks``)
 
@@ -126,13 +125,12 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
         f0=float(vop.profile.f0),
         lambda1=compute_lambda1(vop),
         kh2=kh2, lam=lam, inv_lam=inv_lam,
-        colw=grid.column_weight, zw=grid.zweights, sqrtw=vop.sqrtw,
-        yhat=vop.yhat, action=vop.action, mask=mask,
+        colw=grid.column_weight, zw=grid.zweights,
+        phi_inv=np.ascontiguousarray(vop.yhat.T * vop.sqrtw[None, :]),
+        action=vop.action, mask=mask,
         dx_mult=dx[None, None, :],
         dxm_mult=(dx[None, :] * mask)[None, :, :],
         dym_mult=(dy[:, None] * mask)[None, :, :],
-        yhat_t=np.ascontiguousarray(vop.yhat.T),
-        inv_sqrtw=1.0 / vop.sqrtw,
         hfac=(2.0 * np.pi) ** 2,
         blocks=level_blocks(grid),
     )
@@ -143,28 +141,20 @@ def _coef(field) -> np.ndarray:
     return getattr(field, "coef", field)
 
 
-def _flat(ctx, u):
-    nz = ctx.grid.nz
-    return u.reshape(nz, -1)
+def _vertical(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The real matrix mat on each vertical column of complex x, as one dgemm on its float view."""
+    flat = np.ascontiguousarray(x.reshape(mat.shape[1], -1)).view(np.float64)
+    return (mat @ flat).view(np.complex128).reshape(x.shape)
 
 
 def to_modes(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
-    """Level profiles -> vertical eigenbasis coefficients (same shape).
-
-    The real eigenvector matrix acts on the float view of the complex field
-    (one dgemm over re/im columns instead of a complex upcast).
-    """
-    w = ctx.sqrtw[:, None, None] * u
-    flat = w.reshape(ctx.grid.nz, -1).view(np.float64)
-    c = ctx.yhat_t @ flat
-    return c.view(np.complex128).reshape(u.shape)
+    """Level profiles -> vertical eigenbasis coefficients (same shape)."""
+    return _vertical(ctx.phi_inv, u)
 
 
 def from_modes(ctx: OperatorContext, c: np.ndarray) -> np.ndarray:
     """Vertical eigenbasis coefficients -> level profiles."""
-    flat = np.ascontiguousarray(c.reshape(ctx.grid.nz, -1)).view(np.float64)
-    u = ctx.yhat @ flat
-    return ctx.inv_sqrtw[:, None, None] * u.view(np.complex128).reshape(c.shape)
+    return _vertical(ctx.vop.phi, c)
 
 
 def _require_mean_zero(ctx, u, what):
@@ -178,7 +168,7 @@ def apply_A(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     if not np.any(u):
         return np.zeros_like(u)
     _require_mean_zero(ctx, u, "apply_A input")
-    vert = (ctx.action @ _flat(ctx, u)).reshape(u.shape)
+    vert = (ctx.action @ u.reshape(ctx.grid.nz, -1)).reshape(u.shape)
     return ctx.kh2[None, :, :] * u + vert
 
 
@@ -331,12 +321,49 @@ def norms(ctx: OperatorContext, u: np.ndarray) -> Norms:
 
 def modal_norms(ctx: OperatorContext, c: np.ndarray) -> Norms:
     """The norms of ``norms`` from the vertical-mode coefficients c = to_modes(u)."""
-    p = (c * np.conj(c)).real
-    base = ctx.hfac * np.einsum("k,mlk->mlk", ctx.colw, p)
-    h2 = float(np.sum(base))
-    v2 = float(np.sum(base * ctx.lam))
-    vd2 = float(np.sum(base * ctx.inv_lam))
+    p = _power(c, ctx.colw)
+    # einsum, not a BLAS dot, whose threaded partial sums depend on the thread count.
+    h2 = ctx.hfac * float(np.sum(p))
+    v2 = ctx.hfac * float(np.einsum("mlk,mlk->", p, ctx.lam))
+    vd2 = ctx.hfac * float(np.einsum("mlk,mlk->", p, ctx.inv_lam))
     return Norms(np.sqrt(max(h2, 0.0)), np.sqrt(max(v2, 0.0)), np.sqrt(max(vd2, 0.0)))
+
+
+def _power(c: np.ndarray, colw: np.ndarray) -> np.ndarray:
+    """|c|^2 times the rfft column multiplicities."""
+    p = c.real * c.real
+    p += c.imag * c.imag
+    p *= colw
+    return p
+
+
+def nonzero_columns(field: np.ndarray):
+    """The (li, ki) columns where a spectral field is nonzero (row-major) and its values there."""
+    li, ki = np.nonzero(np.any(field != 0.0, axis=0))
+    return (li, ki), field[:, li, ki]
+
+
+def lift_terms(ctx: OperatorContext, support, lift: np.ndarray,
+               u: np.ndarray | None = None) -> tuple[float, float | None]:
+    """(||lift_x||_{V'}, <lift_x, u>_H or None) of a lift zero off the columns ``support``.
+
+    ``support`` is a pair (li, ki) of index arrays and ``lift`` the (nz, ncols)
+    values there.  All-zero columns are dropped and C-ordered copies summed,
+    so a lift gives the same bits whichever zero columns ``support`` lists
+    and whatever its memory layout.
+    """
+    li, ki = support
+    keep = np.any(lift != 0.0, axis=0)
+    if not keep.all():
+        li, ki, lift = li[keep], ki[keep], lift[:, keep]
+    lift_x = np.ascontiguousarray(lift) * ctx.dx_mult[0, 0, ki]
+    p = _power(_vertical(ctx.phi_inv, lift_x), ctx.colw[ki])
+    vd2 = ctx.hfac * float(np.einsum("mc,mc->", p, ctx.inv_lam[:, li, ki]))
+    vdual = float(np.sqrt(max(vd2, 0.0)))
+    if u is None:
+        return vdual, None
+    prod = (lift_x * np.conj(np.ascontiguousarray(u[:, li, ki]))).real
+    return vdual, ctx.hfac * float(np.einsum("j,c,jc->", ctx.zw, ctx.colw[ki], prod))
 
 
 def h2_scale(ctx: OperatorContext, u: np.ndarray) -> float:

@@ -120,8 +120,9 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     dt = forcing.path.dt_noise
     u0 = unit_eigenmode(ctx, 1, 1, 0)
     lam = eigenvalue_of(ctx, 1, 1, 0)
-    zero_forcing = replace(forcing, periodic_lift=np.zeros_like(forcing.periodic_lift),
-                           entries=tuple(() for _ in forcing.entries))
+    no_columns = np.zeros(0, dtype=np.intp)
+    zero_forcing = replace(forcing, support=(no_columns, no_columns),
+                           basis=forcing.basis[:, :, :0])
     st = initial_state(ctx, zero_forcing, u0, path.t_min, dt)
     st1 = step(st, dt, ctx, zero_forcing, linear_only=True)
     decay_err = np.max(np.abs(st1.u - np.exp(-ctx.nu * lam * dt) * u0))

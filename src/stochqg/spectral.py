@@ -11,6 +11,10 @@ transform.  Field layout conventions:
     physical:  real    (nz, ny, nx)     values at (z_j, y, x) nodes
     spectral:  complex (nz, ny, nx//2+1) rfft2 over axes (1, 2), normalized
 
+The normalization 1/(nx*ny) sits on the forward transform and is applied
+inside pocketfft (``norm="forward"``), so neither transform makes a separate
+scaling pass over the field.
+
 The mean-zero state space drops the (k, l) = (0, 0) vertically-constant
 component; ``remove_mean`` removes it exactly, in place.
 """
@@ -269,18 +273,14 @@ def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f)
     _check_levels(grid, f.shape, (grid.ny, grid.nx), "field")
-    fhat = _fft.rfft2(f, axes=(1, 2))
-    fhat /= grid.nx * grid.ny
-    return fhat
+    return _fft.rfft2(f, axes=(1, 2), norm="forward")
 
 
 def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
     """Normalized spectral coefficients -> physical real field, whole or a level block."""
     fhat = np.asarray(fhat)
     _check_levels(grid, fhat.shape, (grid.ny, grid.nkx), "spectral")
-    f = _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2))
-    f *= grid.nx * grid.ny
-    return f
+    return _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2), norm="forward")
 
 
 def _flip_index(n: int) -> np.ndarray:

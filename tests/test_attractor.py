@@ -34,7 +34,8 @@ from stochqg.forcing import (
 )
 from stochqg.integrator import simulate, xi_step, steps_per_noise
 from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
-from stochqg.operators import build_context, deriv_x, inner_h, norm_h, norms, unit_eigenmode
+from stochqg.operators import (build_context, deriv_x, inner_h, lift_terms, nonzero_columns,
+                               norm_h, norms, unit_eigenmode)
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
 
 DT = 0.125  # dyadic step, 8 per unit time; noise grid equals the step grid
@@ -69,7 +70,7 @@ def _xi_star_reference(ctx, forcing, at, dt):
         if j_here > state.j:
             state = advance_ou(state, (j_here - state.j) * h, path, forcing.model)
         lift = setup_lift(forcing, state, step_index=nn + path.local_shift * m, dt=dt)
-        src[k] = (ctx.beta ** 2 / ctx.nu) * norms(ctx, deriv_x(ctx, lift)).vdual ** 2
+        src[k] = (ctx.beta ** 2 / ctx.nu) * lift_terms(ctx, *nonzero_columns(lift))[0] ** 2
     w = np.exp(rate * dt * np.arange(-n, 1))
     return (float(np.trapezoid(w * src, dx=dt)),
             float(np.sum(w[:-1] * src[:-1] * (1.0 - np.exp(-rate * dt)) / rate)),
@@ -94,7 +95,9 @@ class TestXiStar:
         coef = 0.5 * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
         setup = build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux(coef), 0.25), path)
         from stochqg.operators import deriv_x, norms
-        c = norms(ctx, deriv_x(ctx, setup.periodic_lift)).vdual ** 2
+        periodic_lift = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
+        periodic_lift[:, setup.support[0], setup.support[1]] = setup.basis[-1]
+        c = norms(ctx, deriv_x(ctx, periodic_lift)).vdual ** 2
         est = estimate_xi_star(ctx, setup, at=0.0, dt=1.0, quad_horizon=300.0)
         expect = ctx.beta ** 2 * c / (ctx.nu ** 2 * ctx.lambda1)
         assert est.value == pytest.approx(expect, rel=2e-3)
@@ -330,6 +333,12 @@ class TestPullback:
         med = {T: np.median(v) for T, v in medians.items()}
         assert med[2] < med[1]
         assert med[4] < med[2]
+
+    @pytest.mark.parametrize("horizons", [(), (2, 2), (2, 4, 4), (4, 2), (0, 2), (-2, 2)])
+    def test_horizons_must_strictly_increase(self, horizons):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PullbackConfig(horizons=horizons, ensemble=8)
+        assert PullbackConfig(horizons=(1, 2), ensemble=8).horizons == (1, 2)
 
     def test_phase_must_match_forcing(self, grid, vop):
         ctx = dyn_ctx(grid, vop)

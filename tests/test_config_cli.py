@@ -69,6 +69,13 @@ class TestParseConfig:
             parse_config("physics.N = 1.0,2.0\n")
         assert any("physics.N" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("horizons", ["2,2", "2,4,4", "4,2", "0,2"])
+    def test_repeated_horizons_rejected(self, horizons):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"pullback.horizons = {horizons}\n")
+        assert any("strictly increasing" in v for v in err.value.violations)
+        assert parse_config("pullback.horizons = 1,2\n").horizons == "1,2"
+
     def test_round_trip(self):
         cfg = parse_config("grid.nx = 16\nphysics.nu = 1.25\nnoise.q0 = 0.125\n"
                            "init.kind = eigenmode\ntime.linear_only = true\n")

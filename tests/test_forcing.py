@@ -11,6 +11,7 @@ from stochqg.forcing import (
     extend_noise_path,
     init_ou_state,
     interior_ou_modes,
+    lift_columns,
     load_noise_path,
     make_noise_model,
     make_noise_path,
@@ -22,7 +23,8 @@ from stochqg.forcing import (
     temperedness_series,
 )
 from stochqg.lift import BoundaryFlux, mode_flux, boundary_modes, precompute_mode_lifts, solve_lift
-from stochqg.operators import norm_h
+from stochqg.operators import deriv_x, inner_h, lift_terms, nonzero_columns, norm_h, norms
+from conftest import random_field
 
 H = 0.0625  # dyadic noise step, 16 per unit time
 
@@ -280,8 +282,10 @@ class TestLiftAt:
             dense = dense + np.sqrt(q) * z * lf.coef
         assert np.max(np.abs(lift - dense)) <= 1e-14 * np.max(np.abs(dense))
 
-        held = sum(prof.nbytes for cols in setup.entries for _, _, prof in cols)
-        assert held <= model.n_modes * 2 * grid.nz * 16
+        # At most two columns per lift, so the basis grows with the modes, not the grid.
+        ncols = len(setup.support[0])
+        assert ncols <= 2 * (model.n_modes + 1)
+        assert setup.basis.nbytes <= (model.n_modes + 1) * 2 * (model.n_modes + 1) * grid.nz * 16
 
     def test_shift_consistency_bitwise(self, grid, vop, ctx):
         model = small_model(grid, q0=0.05)
@@ -296,6 +300,72 @@ class TestLiftAt:
         state_0 = init_ou_state(model, shifted, 0.0)
         lift_0 = setup_lift(setup_s, state_0)
         assert np.array_equal(lift_t, lift_0)
+
+
+class TestColumnLift:
+    """The lift on its support columns against the dense field it stands for."""
+
+    # (n_modes, q0, periodic amplitude, periodic boundary mode): the config
+    # defaults; no noise; no periodic flux; an empty support; the periodic
+    # flux on a noise mode's column; and on a column of its own.
+    CASES = {
+        "default": (8, 0.01, 0.0, 2),
+        "q0_zero": (8, 0.0, 0.4, 2),
+        "periodic_zero": (8, 0.05, 0.0, 2),
+        "empty_support": (0, 0.0, 0.0, 2),
+        "shared_column": (4, 0.05, 0.4, 0),
+        "own_column": (2, 0.05, 0.4, 9),
+    }
+
+    def _setup(self, grid, vop, case):
+        n_modes, q0, amp, pmode = self.CASES[case]
+        model = make_noise_model(grid, n_modes, q0=q0, p=3.0, tau_c=0.5)
+        path = make_noise_path(5, n_modes, H, 0.0, 1.0)
+        coef = amp * mode_flux(grid, boundary_modes(grid, 12)[pmode]).coef
+        setup = build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux(coef), 0.1), path)
+        state = init_ou_state(model, path, 0.5)
+        return setup, state
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dense_lift_is_the_scattered_columns(self, grid, vop, case):
+        setup, state = self._setup(grid, vop, case)
+        li, ki = setup.support
+        assert li.dtype == ki.dtype == np.intp
+        assert list(zip(li, ki)) == sorted(set(zip(li, ki)))
+        assert setup.basis.shape == (setup.model.n_modes + 1, grid.nz, len(li))
+        cols = lift_columns(setup, state, step_index=3, dt=H)
+        dense = setup_lift(setup, state, step_index=3, dt=H)
+        assert np.array_equal(dense[:, li, ki], cols)
+        dense[:, li, ki] = 0.0
+        assert not np.any(dense)
+
+    def test_support_cases(self, grid, vop):
+        setup, _ = self._setup(grid, vop, "empty_support")
+        assert len(setup.support[0]) == 0
+        for case, shared in (("shared_column", True), ("own_column", False)):
+            setup, _ = self._setup(grid, vop, case)
+            on_noise = np.any(setup.basis[:-1] != 0.0, axis=(0, 1))
+            on_periodic = np.any(setup.basis[-1] != 0.0, axis=0)
+            assert on_periodic.any()
+            assert np.any(on_noise & on_periodic) == shared
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_terms_match_dense_norms(self, grid, vop, ctx, case):
+        setup, state = self._setup(grid, vop, case)
+        u = random_field(ctx, np.random.default_rng(31))
+        for n in (0, 3):  # sin(2pi * 0.1) and sin(2pi * 0.2875): both nonzero
+            dense = setup_lift(setup, state, step_index=n, dt=H)
+            vdual, flux = lift_terms(ctx, setup.support,
+                                     lift_columns(setup, state, step_index=n, dt=H), u)
+            vdual_ref = norms(ctx, deriv_x(ctx, dense)).vdual
+            flux_ref = inner_h(ctx, deriv_x(ctx, dense), u)
+            assert abs(vdual - vdual_ref) <= 1e-14 * vdual_ref
+            assert abs(flux - flux_ref) <= 1e-14 * abs(flux_ref)
+            # The public route through the dense field's nonzero columns.
+            assert lift_terms(ctx, *nonzero_columns(dense), u) == (vdual, flux)
+        if case == "empty_support":
+            assert (vdual, flux) == (0.0, 0.0)
+
 
 
 class TestPeriodicFactor:

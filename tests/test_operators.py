@@ -15,6 +15,7 @@ from stochqg.operators import (
     dealiased_product,
     eigenvalue_of,
     forcing_f,
+    from_modes,
     h2_scale,
     inner_h,
     jacobian,
@@ -22,6 +23,7 @@ from stochqg.operators import (
     norm_h,
     norms,
     apply_G,
+    to_modes,
     unit_eigenmode,
 )
 from stochqg.spectral import (
@@ -352,6 +354,23 @@ class TestNorms:
         u = random_field(ctx, np.random.default_rng(21))
         n = norms(ctx, u)
         assert abs(n.h - norm_h(ctx, u)) < 1e-12 * n.h
+
+
+class TestFoldedTransforms:
+    """to_modes/from_modes carry the quadrature weights inside their matrices."""
+
+    def test_round_trip(self, ctx):
+        u = random_field(ctx, np.random.default_rng(22))
+        back = from_modes(ctx, to_modes(ctx, u))
+        assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
+
+    def test_modal_norms_match_inner_products(self, ctx):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            u = random_field(ctx, rng)
+            n = norms(ctx, u)
+            assert abs(n.h ** 2 - inner_h(ctx, u, u)) <= 1e-14 * n.h ** 2
+            assert abs(n.v ** 2 - inner_h(ctx, apply_A(ctx, u), u)) <= 1e-14 * n.v ** 2
 
 
 class TestContinuityEstimate:

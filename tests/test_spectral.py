@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from stochqg.spectral import (
     Grid,
@@ -166,6 +167,37 @@ class TestTransforms:
         rng = np.random.default_rng(11)
         fhat = forward_transform(grid, rng.standard_normal((grid.nz, grid.ny, grid.nx)))
         assert hermitian_defect(grid, fhat) < 1e-14
+
+
+def _scale_after(grid, f):
+    """The transform pair with the 1/(nx ny) scaling applied as a separate pass."""
+    fhat = scipy.fft.rfft2(f, axes=(1, 2))
+    fhat /= grid.nx * grid.ny
+    back = scipy.fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2))
+    back *= grid.nx * grid.ny
+    return fhat, back
+
+
+class TestTransformScaling:
+    """The scaling applied inside pocketfft against the scale-after formulation."""
+
+    @pytest.mark.parametrize("n, nz, levels", [(32, 17, 17), (64, 33, 33), (128, 65, 2)])
+    def test_power_of_two_grids_bitwise(self, n, nz, levels):
+        # 128x128 is checked on a 2-level block, as the blocked Jacobian uses it.
+        grid = Grid(nx=n, ny=n, nz=nz)
+        f = np.random.default_rng(n).standard_normal((levels, n, n))
+        fhat, back = _scale_after(grid, f)
+        assert np.array_equal(forward_transform(grid, f), fhat)
+        assert np.array_equal(inverse_transform(grid, fhat), back)
+
+    def test_other_grid_within_4_ulp(self):
+        grid = Grid(nx=24, ny=24, nz=9)
+        f = np.random.default_rng(24).standard_normal((grid.nz, grid.ny, grid.nx))
+        fhat, back = _scale_after(grid, f)
+        ulp = np.finfo(float).eps
+        assert np.max(np.abs(forward_transform(grid, f) - fhat)) <= 4 * ulp * np.max(np.abs(fhat))
+        back_err = np.max(np.abs(inverse_transform(grid, fhat) - back))
+        assert back_err <= 4 * ulp * np.max(np.abs(back))
 
 
 class TestGrid:

@@ -29,7 +29,6 @@ from .operators import (  # noqa: F401
 )
 from .lift import (  # noqa: F401
     BoundaryFlux,
-    LiftField,
     boundary_modes,
     precompute_mode_lifts,
     solve_lift,

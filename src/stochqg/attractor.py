@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import ForcingSetup, ensemble_stream, init_ou_state, shift_path, tail_slope
-from .integrator import _lift_at, _ou_at, initial_state, simulate, step, steps_per_noise
+from .forcing import (ForcingSetup, ensemble_stream, lift_at_step, shift_path, steps_per_noise,
+                      tail_slope)
+from .integrator import initial_state, simulate, step
 from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
 
 
@@ -93,9 +94,9 @@ def pullback_window(config: PullbackConfig, ctx: OperatorContext, dt: float,
                     dt_noise: float) -> tuple[float, float]:
     """The window [t_min, t_max] of noise path that ``pullback_run`` reads when observing at 0.
 
-    Horizon T reads its xi* quadrature window, which ends at -T and starts
-    where ``estimate_xi_star`` sets up its OU state (the noise gridpoint at
-    or before the window's first step); its members then run to 0.
+    Horizon T reads its xi* quadrature window, which ends at -T and whose
+    first step holds the OU state of the noise gridpoint at or before it;
+    its members then run to 0.
     """
     m = steps_per_noise(dt, dt_noise)
     n = _quad_steps(ctx, config.quad_horizon, dt)
@@ -112,10 +113,8 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
     e^{-nu lam1 H} (sup observed source)/(nu lam1).
     """
     path = forcing.path
-    h = path.dt_noise
     if dt is None:
-        dt = h
-    m = steps_per_noise(dt, h)
+        dt = path.dt_noise
     rate = ctx.nu * ctx.lambda1
     n = _quad_steps(ctx, quad_horizon, dt)
     horizon = n * dt
@@ -127,14 +126,10 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
         raise ValueError(f"path [{path.t_min}, {path.t_max}] does not cover "
                          f"[{t_start}, {at}]")
 
-    # Each step's OU state and lift follow the stepper's rules, so xi* sees its source.
-    state = init_ou_state(forcing.model, path,
-                          (np.floor_divide(n_at - n, m)) * h)
+    # Each step's lift is the one the stepper uses, so xi* sees its source.
     src = np.empty(n + 1)
     for k in range(n + 1):
-        nn = n_at - n + k
-        state = _ou_at(forcing, state, nn, dt)
-        vdual = lift_terms(ctx, forcing.support, _lift_at(forcing, state, nn, dt))[0]
+        vdual = lift_terms(ctx, forcing.support, lift_at_step(forcing, n_at - n + k, dt))[0]
         src[k] = (ctx.beta ** 2 / ctx.nu) * vdual ** 2
     tau = dt * np.arange(-n, 1)
     w = np.exp(rate * tau)

@@ -19,7 +19,10 @@ grids align).  The OU state lives on the noise grid and is sample-held in
 between; all its one-step updates are exact.  zeta(t) is a deterministic
 function of the path: the stationary draw is anchored at the path's first
 gridpoint and recursed forward, which is what makes the solution operator a
-genuine cocycle over the stored path.
+genuine cocycle over the stored path.  The recursion runs once per path:
+the OU states at all of its gridpoints are kept with the path (shifted
+copies share them), and ``lift_at_step`` reads the lift of any step of a
+run from them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lift import BoundaryFlux, BoundaryMode, LiftField, boundary_modes, mode_flux, solve_lift
+from .lift import BoundaryFlux, BoundaryMode, boundary_modes, mode_flux, solve_lift
 from .operators import OperatorContext, norm_h
 from .spectral import Grid, VerticalOperator, unit_mode_coef
 
@@ -108,7 +111,8 @@ class NoisePath:
     n_steps: int
     local_shift: int = 0
     _stored: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # Not an init field, so ``dataclasses.replace`` gives a path its own cache.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _BLOCK = 1024
 
@@ -186,10 +190,11 @@ def shift_path(path: NoisePath, s: float) -> NoisePath:
     js = round(s / path.dt_noise)
     if abs(js * path.dt_noise - s) > 1e-9 * max(1.0, abs(s)):
         raise ValueError("shift must be a multiple of dt_noise")
-    return NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
-                     i0_abs=path.i0_abs, n_steps=path.n_steps,
-                     local_shift=path.local_shift + js, _stored=path._stored,
-                     _cache=path._cache)
+    out = NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
+                    i0_abs=path.i0_abs, n_steps=path.n_steps,
+                    local_shift=path.local_shift + js, _stored=path._stored)
+    object.__setattr__(out, "_cache", path._cache)  # same increments and OU states
+    return out
 
 
 def extend_noise_path(path: NoisePath, t_min: float, t_max: float) -> NoisePath:
@@ -260,9 +265,33 @@ class OUBoundaryState:
         return self.j * self.dt_noise
 
 
-def _ou_coeffs(model: NoiseModel, h: float) -> tuple[float, float]:
-    a = np.exp(-h / model.tau_c)
-    return a, np.sqrt(-np.expm1(-2.0 * h / model.tau_c))
+def _ou_series(model: NoiseModel, path: NoisePath, init: str = "stationary") -> np.ndarray:
+    """(n_steps + 1, n_modes) OU states at every gridpoint of the path, read-only.
+
+    The recursion runs once per path and init mode, one ``advance_ou`` per
+    gridpoint, and the rows are kept in the path's cache, which shifted
+    copies of the path share.
+    """
+    if model.n_modes != path.n_modes:
+        raise ValueError("model and path disagree on the mode count")
+    key = ("ou", model.tau_c, init)
+    series = path._cache.get(key)
+    if series is None:
+        if init == "stationary":
+            zeta = path.stationary_draw()
+        elif init == "burnin":
+            zeta = np.zeros(model.n_modes)
+        else:
+            raise ValueError(f"unknown init mode {init!r}")
+        state = OUBoundaryState(zeta=zeta, j=path.i0_abs, dt_noise=path.dt_noise)
+        series = np.empty((path.n_steps + 1, model.n_modes))
+        series[0] = zeta
+        for k in range(1, path.n_steps + 1):
+            state = advance_ou(state, path.dt_noise, path, model)
+            series[k] = state.zeta
+        series.flags.writeable = False
+        path._cache[key] = series
+    return series
 
 
 def init_ou_state(model: NoiseModel, path: NoisePath, t: float, init: str = "stationary") -> OUBoundaryState:
@@ -271,20 +300,11 @@ def init_ou_state(model: NoiseModel, path: NoisePath, t: float, init: str = "sta
     "stationary": exact standard-normal draw at the path start, recursed
     forward along the stored increments.  "burnin": zero start at the path
     start (cross-validation mode; agrees in law once t - t_min >> tau_c).
+    The returned ``zeta`` is the caller's own copy.
     """
-    if model.n_modes != path.n_modes:
-        raise ValueError("model and path disagree on the mode count")
+    series = _ou_series(model, path, init)
     j = path.abs_step(t)
-    if init == "stationary":
-        zeta = path.stationary_draw()
-    elif init == "burnin":
-        zeta = np.zeros(model.n_modes)
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
-    a, b = _ou_coeffs(model, path.dt_noise)
-    for jj in range(path.i0_abs, j):
-        zeta = a * zeta + b * path.unit_normal(jj)
-    return OUBoundaryState(zeta=zeta, j=j, dt_noise=path.dt_noise)
+    return OUBoundaryState(zeta=series[j - path.i0_abs].copy(), j=j, dt_noise=path.dt_noise)
 
 
 def advance_ou(state: OUBoundaryState, dt: float, path: NoisePath, model: NoiseModel) -> OUBoundaryState:
@@ -300,7 +320,8 @@ def advance_ou(state: OUBoundaryState, dt: float, path: NoisePath, model: NoiseM
         raise ValueError(f"dt={dt} is not a nonnegative multiple of dt_noise={h}")
     if n == 0:
         return state
-    a, b = _ou_coeffs(model, h)
+    a = np.exp(-h / model.tau_c)
+    b = np.sqrt(-np.expm1(-2.0 * h / model.tau_c))
     zeta = state.zeta
     for jj in range(state.j, state.j + n):
         zeta = a * zeta + b * path.unit_normal(jj)
@@ -347,7 +368,7 @@ def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
     # A lift is nonzero exactly on its flux's nonzero columns.  The lifts are
     # solved one at a time and each is kept on the support columns only.
     li, ki = np.nonzero(np.any([f.coef != 0.0 for f in fluxes], axis=0))
-    basis = np.array([solve_lift(grid, vop, f).coef[:, li, ki] for f in fluxes])
+    basis = np.array([solve_lift(grid, vop, f)[:, li, ki] for f in fluxes])
     return ForcingSetup(model=model, periodic=periodic, path=path,
                         support=(li, ki), basis=basis)
 
@@ -379,13 +400,39 @@ def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
     return out
 
 
+def steps_per_noise(dt: float, dt_noise: float) -> int:
+    """Steps of dt per noise step; dt must divide dt_noise."""
+    m = round(dt_noise / dt)
+    if m < 1 or abs(m * dt - dt_noise) > 1e-9 * dt_noise:
+        raise ValueError(f"dt={dt} must divide dt_noise={dt_noise}")
+    return m
+
+
+def lift_at_step(setup: ForcingSetup, n: int, dt: float, held: int | None = None) -> np.ndarray:
+    """The lift at local step n of a run with step dt, on ``setup.support``.
+
+    The OU part is sample-held at the last noise gridpoint at or before step
+    ``held`` (default n); the periodic part is at step n on the absolute
+    clock, so shifted paths give the same lift bitwise.
+    """
+    path = setup.path
+    m = steps_per_noise(dt, path.dt_noise)
+    j = (n if held is None else held) // m + path.local_shift  # floor, also for negative steps
+    if not path.i0_abs <= j <= path.i0_abs + path.n_steps:
+        raise ValueError(f"time {(j - path.local_shift) * path.dt_noise} outside path range "
+                         f"[{path.t_min}, {path.t_max}]")
+    ou = OUBoundaryState(zeta=_ou_series(setup.model, path)[j - path.i0_abs], j=j,
+                         dt_noise=path.dt_noise)
+    return lift_columns(setup, ou, step_index=n + path.local_shift * m, dt=dt)
+
+
 def ensemble_stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-member RNG stream (seed, member-index, ...)."""
     return _stream(seed, _NS_ENSEMBLE, *key)
 
 
 def interior_ou_modes(ctx: OperatorContext, model: NoiseModel, path: NoisePath,
-                      lifts: Sequence[LiftField], t0: float, t1: float,
+                      lifts: Sequence[np.ndarray], t0: float, t1: float,
                       track: Sequence[tuple[int, int]], y0: float = 0.0,
                       init: str = "stationary"):
     """Validation-only interior eigenmode coefficients driven by the lift.
@@ -398,7 +445,7 @@ def interior_ou_modes(ctx: OperatorContext, model: NoiseModel, path: NoisePath,
     """
     h = path.dt_noise
     j0, j1 = path.abs_step(t0), path.abs_step(t1)
-    state = init_ou_state(model, path, t0, init=init)
+    series = _ou_series(model, path, init)
     zw = ctx.zw
     gammas, decays = [], []
     for (i, m) in track:
@@ -417,16 +464,13 @@ def interior_ou_modes(ctx: OperatorContext, model: NoiseModel, path: NoisePath,
     Y = np.empty((len(track), n + 1))
     y = np.full(len(track), float(y0))
     Y[:, 0] = y
-    a, b = _ou_coeffs(model, h)
-    zeta = state.zeta
-    for s in range(n):
+    for s, zeta in enumerate(series[j0 - path.i0_abs:j1 - path.i0_abs]):
         y = decays * y + (1.0 - decays) * gammas * zeta[idx]
-        zeta = a * zeta + b * path.unit_normal(j0 + s)
         Y[:, s + 1] = y
     return times, Y
 
 
-def _lift_profile(lift: LiftField, grid: Grid, mode: BoundaryMode) -> np.ndarray:
+def _lift_profile(lift: np.ndarray, grid: Grid, mode: BoundaryMode) -> np.ndarray:
     """Vertical profile of a single-mode lift, normalized to the real basis.
 
     The stored column holds amp * profile with amp the unit-mode coefficient;
@@ -434,7 +478,7 @@ def _lift_profile(lift: LiftField, grid: Grid, mode: BoundaryMode) -> np.ndarray
     the real-basis normalization (<l_i, e_k>_H = sum_j w_j profile_j phi_m,j).
     """
     li = mode.l % grid.ny
-    col = lift.coef[:, li, mode.k]
+    col = lift[:, li, mode.k]
     return (col / unit_mode_coef(mode.kind)).real
 
 

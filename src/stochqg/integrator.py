@@ -11,9 +11,11 @@ explicit terms collapse to
 since f - D = -beta Psi_x and B + C = J(Psi, u).
 
 Time is tracked as an integer step count (t = n*dt, never accumulated) and
-the OU state advances only on the noise grid, so runs over aligned grids are
-bitwise reproducible and the solution operator is a genuine cocycle over the
-stored noise path.  Alongside u, the scalar comparison process
+the forcing at step n is one function of (path, n, dt),
+``forcing.lift_at_step``, whose OU part changes only on the noise grid, so
+runs over aligned grids are bitwise reproducible and the solution operator is
+a genuine cocycle over the stored noise path.  A state is (u, n, dt, xi):
+it carries no OU state of its own.  Alongside u, the scalar comparison process
 
     xi' + nu lam1 xi = (beta^2/nu) ||lift_x||_{V'}^2
 
@@ -37,8 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .forcing import (ForcingSetup, OUBoundaryState, advance_ou, check_byte_count,
-                      init_ou_state, lift_columns)
+from .forcing import ForcingSetup, check_byte_count, lift_at_step, steps_per_noise
 from .operators import (
     Norms,
     OperatorContext,
@@ -91,7 +92,7 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimState:
-    """Flow state: transformed potential vorticity u, step count, OU state, xi.
+    """Flow state: transformed potential vorticity u, step count, step size, xi.
 
     A state made under a context and forcing (``ctx``, ``forcing``) computes
     the values that its step and the run's diagnostics share on first use
@@ -105,7 +106,6 @@ class SimState:
     u: np.ndarray
     n: int
     dt: float
-    ou: OUBoundaryState
     xi: float
     ctx: OperatorContext | None = field(default=None, compare=False, repr=False)
     forcing: ForcingSetup | None = field(default=None, compare=False, repr=False)
@@ -125,8 +125,8 @@ class SimState:
 
     @functools.cached_property
     def lift(self) -> np.ndarray:
-        """The lift at step n on ``forcing.support``, its OU part held at ``ou``."""
-        return _lift_at(self.forcing, self.ou, self.n, self.dt)
+        """The lift at step n on ``forcing.support``."""
+        return lift_at_step(self.forcing, self.n, self.dt)
 
     @functools.cached_property
     def vdual_liftx(self) -> float:
@@ -167,17 +167,6 @@ class SimResult:
     diagnostics: list
 
 
-def steps_per_noise(dt: float, dt_noise: float) -> int:
-    m = round(dt_noise / dt)
-    if m < 1 or abs(m * dt - dt_noise) > 1e-9 * dt_noise:
-        raise ValueError(f"dt={dt} must divide dt_noise={dt_noise}")
-    return m
-
-
-def _noise_index(n: int, m: int) -> int:
-    return n // m  # floor division, valid for negative steps
-
-
 def _rhs(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
          cfl: bool = False):
     """Explicit tendency N(u) and the advective dt limit.
@@ -211,22 +200,6 @@ def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
     return lim
 
 
-def _ou_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> OUBoundaryState:
-    """The OU state held over step n: ``ou`` advanced to step n's noise gridpoint."""
-    path = forcing.path
-    j = _noise_index(n, steps_per_noise(dt, path.dt_noise)) + path.local_shift
-    if j > ou.j:
-        ou = advance_ou(ou, (j - ou.j) * path.dt_noise, path, forcing.model)
-    return ou
-
-
-def _lift_at(forcing: ForcingSetup, ou: OUBoundaryState, n: int, dt: float) -> np.ndarray:
-    """The lift at step n of a run with step dt on ``forcing.support``, OU part held at ``ou``."""
-    path = forcing.path
-    shift_steps = path.local_shift * steps_per_noise(dt, path.dt_noise)
-    return lift_columns(forcing, ou, step_index=n + shift_steps, dt=dt)
-
-
 def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -> float:
     """``xi_step`` given the source's ||lift_x||_{V'} instead of the lift."""
     if xi < 0.0:
@@ -239,8 +212,7 @@ def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -
 
 def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     """Exact affine update of the energy-bound process, source held per step."""
-    coef = getattr(lift, "coef", lift)
-    return _xi_update(xi, lift_terms(ctx, *nonzero_columns(coef))[0], dt, ctx)
+    return _xi_update(xi, lift_terms(ctx, *nonzero_columns(lift))[0], dt, ctx)
 
 
 def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup,
@@ -249,9 +221,9 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
 
     Predictor/corrector on the integrating-factor-transformed system:
         c_p = E (c0 + dt N0),   c1 = E c0 + dt/2 (E N0 + N1(u_p, t1)),
-    with E = e^{-nu lam dt} diagonal in the separable basis.  The OU state is
-    advanced when the step crosses a noise gridpoint; the corrector sees the
-    post-crossing lift, matching the sample-hold convention.
+    with E = e^{-nu lam dt} diagonal in the separable basis.  The corrector
+    holds the OU part at the step's start, matching the sample-hold
+    convention; the new state's lift takes the gridpoint it ends on.
     """
     if dt != state.dt:
         raise ValueError("step size differs from the state's clock")
@@ -278,17 +250,13 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     psi = from_modes(ctx, -ctx.inv_lam * c_pred)
     del c_pred
 
-    ou1 = _ou_at(forcing, state.ou, n1, dt)
-
     # The stochastic coefficients are held over the whole step (the corrector
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.  A step
     # that crosses no noise gridpoint ends with this same lift.
-    lift1 = _lift_at(forcing, state.ou, n1, dt)
+    lift1 = lift_at_step(forcing, n1, dt, held=state.n)
     psi[:, li, ki] += lift1
-    if ou1 is not state.ou:
-        lift1 = None
     r1, _ = _rhs(ctx, u_pred, psi, linear_only)
     del psi, u_pred
 
@@ -306,17 +274,18 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
         raise BlowupError(f"||u||_H exceeded 1e3*sqrt(2 xi) at t={n1 * dt:g}")
 
-    new = SimState(u=u1, n=n1, dt=dt, ou=ou1, xi=xi1, ctx=ctx, forcing=forcing)
+    new = SimState(u=u1, n=n1, dt=dt, xi=xi1, ctx=ctx, forcing=forcing)
     # Seed the cache: cached_property returns what the instance __dict__ holds.
     new.__dict__.update(efac=efac, h2=h2)
-    if lift1 is not None:
+    m = steps_per_noise(dt, forcing.path.dt_noise)
+    if n1 // m == state.n // m:
         new.__dict__["lift"] = lift1
     return new
 
 
 def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
                   t0: float, dt: float, xi0: float | None = None) -> SimState:
-    """SimState at t0, with the OU state at the last noise gridpoint <= t0.
+    """SimState at t0; its lift holds the OU state of the last noise gridpoint <= t0.
 
     The mean-zero projection is applied only when the input actually has a
     mean-mode defect: re-projecting an already projected field would move it
@@ -324,21 +293,19 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     when a run is split into legs.
     """
     _keep_step_memory()
-    path = forcing.path
-    m = steps_per_noise(dt, path.dt_noise)
     n0 = round(t0 / dt)
     if abs(n0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0={t0} is not on the step grid")
+    lift = lift_at_step(forcing, n0, dt)  # also checks dt and that the path covers t0
     u0 = np.asarray(u0, dtype=complex)
     if mean_defect(u0, ctx.zw) > 1e-14:
         u0 = project_mean_zero(ctx.grid, u0, ctx.zw)
     else:
         u0 = u0.copy()
-    ou = init_ou_state(forcing.model, path, _noise_index(n0, m) * path.dt_noise)
     h2 = inner_h(ctx, u0, u0)
-    state = SimState(u=u0, n=n0, dt=dt, ou=ou, xi=float(h2 if xi0 is None else xi0),
+    state = SimState(u=u0, n=n0, dt=dt, xi=float(h2 if xi0 is None else xi0),
                      ctx=ctx, forcing=forcing)
-    state.__dict__["h2"] = h2  # seeds the cached_property, as in step
+    state.__dict__.update(h2=h2, lift=lift)  # seeds the cached_properties, as in step
     return state
 
 
@@ -414,7 +381,7 @@ def energy_budget(ctx: OperatorContext, prev: SimState, nxt: SimState,
     energy-neutral operators B, C, D.
     """
     def terms(u, lift):
-        flux = lift_terms(ctx, *nonzero_columns(getattr(lift, "coef", lift)), u)[1]
+        flux = lift_terms(ctx, *nonzero_columns(lift), u)[1]
         return inner_h(ctx, u, u), norms(ctx, u).v, flux
 
     return _budget_residual(ctx, nxt.t - prev.t, terms(prev.u, lift_prev),
@@ -427,8 +394,7 @@ def reconstruct_streamfunction(ctx: OperatorContext, u: np.ndarray, lift):
     Returns (psi_hat, psi_phys, pv_phys); applying the discrete stratified
     Laplacian to psi recovers u up to the lift's boundary-row flux injection.
     """
-    coef = getattr(lift, "coef", lift)
-    psi_hat = apply_G(ctx, u) + coef
+    psi_hat = apply_G(ctx, u) + lift
     psi = inverse_transform(ctx.grid, psi_hat)
     uphys = inverse_transform(ctx.grid, u)
     pv = uphys + ctx.f0 + ctx.beta * ctx.grid.y[None, :, None]

@@ -35,14 +35,6 @@ class BoundaryFlux:
         object.__setattr__(self, "coef", np.asarray(self.coef, dtype=complex))
 
 
-@dataclass(frozen=True)
-class LiftField:
-    """Spectral lift (nz, ny, nkx) together with its source flux."""
-
-    coef: np.ndarray
-    flux: BoundaryFlux
-
-
 @dataclass(frozen=True, order=True)
 class BoundaryMode:
     """Real Fourier mode on the top face; sort order is the basis order."""
@@ -86,8 +78,8 @@ def _banded(vop: VerticalOperator, kh2: float) -> np.ndarray:
     return ab
 
 
-def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> LiftField:
-    """Solve the harmonic lifting problem for arbitrary mean-zero flux.
+def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> np.ndarray:
+    """The (nz, ny, nkx) spectral lift of an arbitrary mean-zero flux.
 
     Columns with equal k^2+l^2 share one Cholesky-banded factorization.
     """
@@ -100,7 +92,7 @@ def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> LiftFie
     out = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
     nonzero = np.argwhere(coef != 0.0)
     if nonzero.size == 0:
-        return LiftField(out, flux)
+        return out
 
     kx = grid.kx
     ky = grid.ky
@@ -117,17 +109,16 @@ def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> LiftFie
         sol = solveh_banded(ab, rhs)
         for j, (li, ki) in enumerate(cols):
             out[:, li, ki] = sol[:, j]
-    return LiftField(out, flux)
+    return out
 
 
-def precompute_mode_lifts(grid: Grid, vop: VerticalOperator, n_modes: int) -> list[LiftField]:
+def precompute_mode_lifts(grid: Grid, vop: VerticalOperator, n_modes: int) -> list[np.ndarray]:
     """Lifts of the first n_modes boundary-basis modes, in basis order."""
     return [solve_lift(grid, vop, mode_flux(grid, m)) for m in boundary_modes(grid, n_modes)]
 
 
-def lift_interior_residual(grid: Grid, vop: VerticalOperator, lift: LiftField) -> float:
+def lift_interior_residual(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> float:
     """Relative interior residual of (F u')' - (k^2+l^2) u = 0, max over columns."""
-    coef = lift.coef
     kh2 = grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2
     res = (vop.action @ coef.reshape(vop.nz, -1)).reshape(coef.shape)
     res = res + kh2[None, :, :] * coef
@@ -141,13 +132,12 @@ def lift_interior_residual(grid: Grid, vop: VerticalOperator, lift: LiftField) -
     return worst
 
 
-def recovered_top_flux(grid: Grid, vop: VerticalOperator, lift: LiftField) -> np.ndarray:
+def recovered_top_flux(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> np.ndarray:
     """Discrete u'(2pi) implied by the top boundary row, shape (ny, nkx).
 
     Rearranges the variational top row; equals the imposed flux to the
     stencil's order.
     """
-    coef = lift.coef
     kh2 = grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2
     one_sided = -vop.stiff_off[-1] * (coef[-1] - coef[-2])
     return (one_sided + vop.weights[-1] * kh2 * coef[-1]) / vop.f_top

@@ -136,11 +136,6 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
     )
 
 
-def _coef(field) -> np.ndarray:
-    """Accept bare spectral arrays or LiftField-like wrappers."""
-    return getattr(field, "coef", field)
-
-
 def _vertical(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The real matrix mat on each vertical column of complex x, as one dgemm on its float view."""
     flat = np.ascontiguousarray(x.reshape(mat.shape[1], -1)).view(np.float64)
@@ -245,8 +240,8 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
     collocation quadrature of any triple product is alias-free.
     """
     grid = ctx.grid
-    a = _as_spectral(ctx, _coef(a))
-    b = _as_spectral(ctx, _coef(b))
+    a = _as_spectral(ctx, a)
+    b = _as_spectral(ctx, b)
     if not (np.any(a) and np.any(b)):
         return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
     jhat, _ = dealiased_product(ctx, a, b)
@@ -288,10 +283,9 @@ def forcing_f(ctx: OperatorContext, lift) -> np.ndarray:
     The x-derivative annihilates the kx = 0 column, so the result is
     mean-zero by construction.
     """
-    coef = _coef(lift)
-    if ctx.beta == 0.0 or not np.any(coef):
-        return np.zeros_like(coef)
-    return -ctx.beta * deriv_x(ctx, coef)
+    if ctx.beta == 0.0 or not np.any(lift):
+        return np.zeros_like(lift)
+    return -ctx.beta * deriv_x(ctx, lift)
 
 
 class Norms(NamedTuple):

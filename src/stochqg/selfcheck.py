@@ -49,13 +49,15 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     def check(name, ok, detail=""):
         out.append((name, bool(ok), detail))
 
-    # Vertical operator.
+    # Vertical operator: W L is the stiffness matrix A_z, so it is symmetric.
+    wl = vop.weights[:, None] * vop.action
+    check("vertical operator symmetric",
+          np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl)))
     nzr = np.arange(vop.nz)
     m = np.zeros((vop.nz, vop.nz))
     m[nzr, nzr] = vop.diag
     m[nzr[:-1], nzr[1:]] = vop.offdiag
     m[nzr[1:], nzr[:-1]] = vop.offdiag
-    check("vertical operator symmetric", np.array_equal(m, m.T))
     gram = vop.phi.T @ (vop.weights[:, None] * vop.phi)
     check("eigenvectors orthonormal", np.max(np.abs(gram - np.eye(vop.nz))) < 1e-12)
     lam1_dense = min(1.0, np.linalg.eigvalsh(m)[1])

@@ -23,10 +23,12 @@ from stochqg.attractor import (
     sample_initial_ball,
 )
 from stochqg.forcing import (
+    NoisePath,
     PeriodicFlux,
     advance_ou,
     build_forcing,
     init_ou_state,
+    lift_at_step,
     make_noise_model,
     make_noise_path,
     setup_lift,
@@ -52,6 +54,13 @@ def dyn_forcing(grid, vop, q0=0.05, amp=0.4, phase=0.2, seed=5, t_min=-64.0, t_m
     coef = amp * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
     periodic = PeriodicFlux(BoundaryFlux(coef), phase=phase)
     return build_forcing(grid, vop, model, periodic, path)
+
+
+def _dense(grid, setup, cols):
+    """Lift columns on ``setup.support`` scattered into a dense field, as ``xi_step`` takes it."""
+    out = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
+    out[:, setup.support[0], setup.support[1]] = cols
+    return out
 
 
 def _xi_star_reference(ctx, forcing, at, dt):
@@ -160,16 +169,9 @@ class TestXiStar:
         est0 = estimate_xi_star(ctx, setup, at=0.0, dt=DT)
         estT = estimate_xi_star(ctx, setup, at=-float(T), dt=DT)
         x0 = 5.0
-        path = setup.path
-        m = steps_per_noise(DT, path.dt_noise)
-        state = init_ou_state(setup.model, path, -float(T))
         xi = x0
         for k in range(round(T / DT)):
-            nn = round(-T / DT) + k
-            j_here = nn // m + path.local_shift
-            if j_here > state.j:
-                state = advance_ou(state, (j_here - state.j) * path.dt_noise, path, setup.model)
-            lift = setup_lift(setup, state, step_index=nn, dt=DT)
+            lift = _dense(grid, setup, lift_at_step(setup, round(-T / DT) + k, DT))
             xi = xi_step(xi, lift, DT, ctx)
         tol = (est0.rule_gap + est0.truncation_bound
                + np.exp(-rate * T) * (estT.rule_gap + estT.truncation_bound) + 1e-12)
@@ -190,15 +192,8 @@ class TestAbsorbingBall:
         est_t0 = estimate_xi_star(ctx, setup, at=t0, dt=DT)
         est_t1 = estimate_xi_star(ctx, setup, at=t1, dt=DT)
         xi = absorbing_ball(est_t0.held_value)
-        path = setup.path
-        m = steps_per_noise(DT, path.dt_noise)
-        state = init_ou_state(setup.model, path, t0)
         for k in range(round((t1 - t0) / DT)):
-            nn = round(t0 / DT) + k
-            j_here = nn // m + path.local_shift
-            if j_here > state.j:
-                state = advance_ou(state, (j_here - state.j) * path.dt_noise, path, setup.model)
-            lift = setup_lift(setup, state, step_index=nn, dt=DT)
+            lift = _dense(grid, setup, lift_at_step(setup, round(t0 / DT) + k, DT))
             xi = xi_step(xi, lift, DT, ctx)
         bound = absorbing_ball(est_t1.held_value)
         tol = 2.0 * (est_t0.truncation_bound + est_t1.truncation_bound) + 1e-12
@@ -333,6 +328,24 @@ class TestPullback:
         med = {T: np.median(v) for T, v in medians.items()}
         assert med[2] < med[1]
         assert med[4] < med[2]
+
+    def test_ou_recursion_once_per_gridpoint(self, grid, vop, monkeypatch):
+        # Every horizon's xi* quadrature and every member run read the OU
+        # states of one series, so no gridpoint's update is made twice.
+        ctx = dyn_ctx(grid, vop)
+        setup = dyn_forcing(grid, vop)
+        calls = []
+        orig = NoisePath.unit_normal
+
+        def counted(path, j_abs):
+            calls.append(j_abs)
+            return orig(path, j_abs)
+
+        monkeypatch.setattr(NoisePath, "unit_normal", counted)
+        cfg = PullbackConfig(horizons=(1, 2), ensemble=8, leading_modes=8, seed=11, phase=0.2)
+        pullback_run(cfg, ctx, setup, DT)
+        assert 0 < len(calls) <= setup.path.n_steps
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("horizons", [(), (2, 2), (2, 4, 4), (4, 2), (0, 2), (-2, 2)])
     def test_horizons_must_strictly_increase(self, horizons):

@@ -1,5 +1,6 @@
 """Config parsing, normalization round trip, CLI subcommands, artifacts."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,6 +17,7 @@ from stochqg.config import (
 )
 from stochqg.forcing import load_noise_path
 from stochqg.integrator import save_snapshot, simulate
+from stochqg.selfcheck import run_battery
 
 
 FAST = [
@@ -110,6 +112,17 @@ class TestCLI:
         assert rc == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_validate_flags_asymmetric_vertical_operator(self):
+        rt = build_runtime(parse_config("noise.t_min = -4\nnoise.t_max = 4\n"))
+        checks = {name: ok for name, ok, _ in run_battery(rt.ctx, rt.forcing)}
+        assert checks["vertical operator symmetric"]
+        vop = rt.ctx.vop
+        action = vop.action.copy()
+        action[1, 2] *= 1.0 + 1e-9
+        bad = dataclasses.replace(rt.ctx, vop=dataclasses.replace(vop, action=action))
+        checks = {name: ok for name, ok, _ in run_battery(bad, rt.forcing)}
+        assert not checks["vertical operator symmetric"]
 
     def test_spectrum_reports_lambda1(self, capsys):
         rc = main(["spectrum"])

@@ -1,16 +1,21 @@
 """Noise model, OU states, noise paths, lifts-in-time, temperedness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from stochqg.forcing import (
+    NoisePath,
+    OUBoundaryState,
     PeriodicFlux,
     advance_ou,
     build_forcing,
     extend_noise_path,
     init_ou_state,
     interior_ou_modes,
+    lift_at_step,
     lift_columns,
     load_noise_path,
     make_noise_model,
@@ -166,6 +171,86 @@ class TestInitOU:
             init_ou_state(model, path, 2.0)
 
 
+def _chained(model, path, init="stationary"):
+    """OU states at every gridpoint of the path: one advance_ou at a time from t_min."""
+    zeta = path.stationary_draw() if init == "stationary" else np.zeros(model.n_modes)
+    state = OUBoundaryState(zeta=zeta, j=path.i0_abs, dt_noise=path.dt_noise)
+    out = [state.zeta]
+    for _ in range(path.n_steps):
+        state = advance_ou(state, path.dt_noise, path, model)
+        out.append(state.zeta)
+    return np.array(out)
+
+
+def _counted_unit_normals(monkeypatch):
+    calls = []
+    orig = NoisePath.unit_normal
+
+    def counted(path, j_abs):
+        calls.append(j_abs)
+        return orig(path, j_abs)
+
+    monkeypatch.setattr(NoisePath, "unit_normal", counted)
+    return calls
+
+
+class TestOUSeries:
+    """init_ou_state reads OU states made once per path; none may move a bit."""
+
+    @pytest.mark.parametrize("source, init", [("seed", "stationary"), ("file", "stationary"),
+                                              ("seed", "burnin")])
+    def test_window_matches_chained_updates(self, grid, tmp_path, source, init):
+        model = small_model(grid)
+        path = make_noise_path(12, model.n_modes, H, -2.0, 2.0)
+        if source == "file":
+            save_noise_path(path, tmp_path / "noise.bin")
+            path = load_noise_path(tmp_path / "noise.bin")
+        expect = _chained(model, path, init)
+        for k in range(16, 49):  # the window [-1, 1]
+            got = init_ou_state(model, path, path.t_min + k * H, init=init)
+            assert got.j == path.i0_abs + k
+            assert np.array_equal(got.zeta, expect[k])
+
+    def test_shifted_copy_reads_same_rows(self, grid, monkeypatch):
+        model = small_model(grid)
+        path = make_noise_path(12, model.n_modes, H, -2.0, 2.0)
+        rows = [init_ou_state(model, path, t).zeta for t in (-1.0, 0.5, 2.0)]
+        calls = _counted_unit_normals(monkeypatch)
+        shifted = shift_path(path, 0.5)
+        again = [init_ou_state(model, shifted, t - 0.5).zeta for t in (-1.0, 0.5, 2.0)]
+        assert calls == []
+        for a, b in zip(rows, again):
+            assert np.array_equal(a, b)
+
+    def test_extended_path_reanchors(self, grid):
+        model = small_model(grid)
+        path = make_noise_path(12, model.n_modes, H, -2.0, 2.0)
+        before = init_ou_state(model, path, 0.0).zeta
+        wider = extend_noise_path(path, -3.0, 2.0)
+        expect = _chained(model, wider)
+        after = init_ou_state(model, wider, 0.0).zeta
+        assert np.array_equal(after, expect[48])
+        assert not np.array_equal(after, before)  # the stationary draw now sits at -3
+
+    def test_replaced_path_has_its_own_cache(self, grid):
+        model = small_model(grid)
+        path = make_noise_path(12, model.n_modes, H, -2.0, 2.0)
+        init_ou_state(model, path, 0.0)
+        moved = dataclasses.replace(path, i0_abs=path.i0_abs + 16)
+        fresh = make_noise_path(12, model.n_modes, H, -1.0, 3.0)
+        assert np.array_equal(moved.increments, fresh.increments)
+        assert np.array_equal(init_ou_state(model, moved, 0.0).zeta,
+                              init_ou_state(model, fresh, 0.0).zeta)
+
+    def test_returned_state_is_a_copy(self, grid):
+        model = small_model(grid)
+        path = make_noise_path(12, model.n_modes, H, -2.0, 2.0)
+        state = init_ou_state(model, path, 0.5)
+        kept = state.zeta.copy()
+        state.zeta[:] = 99.0
+        assert np.array_equal(init_ou_state(model, path, 0.5).zeta, kept)
+
+
 class TestAdvanceOU:
     def test_identity_at_zero(self, grid):
         model = small_model(grid)
@@ -254,7 +339,7 @@ class TestLiftAt:
         state = type(state)(zeta=np.ones(1), j=state.j, dt_noise=state.dt_noise)
         lift = setup_lift(setup, state)
         # q = (1 + kh2)^0 = 1 and zeta = 1: the lift is l_1 exactly.
-        assert np.array_equal(lift, precompute_mode_lifts(grid, vop, 1)[0].coef)
+        assert np.array_equal(lift, precompute_mode_lifts(grid, vop, 1)[0])
 
     def test_mode_count_mismatch(self, grid, vop):
         model = small_model(grid, n_modes=4)
@@ -277,9 +362,9 @@ class TestLiftAt:
 
         factor = periodic_factor(periodic, state.j, state.dt_noise)
         assert factor != 0.0
-        dense = factor * solve_lift(grid, vop, periodic.u0).coef
+        dense = factor * solve_lift(grid, vop, periodic.u0)
         for q, z, lf in zip(model.q, zeta, precompute_mode_lifts(grid, vop, 8)):
-            dense = dense + np.sqrt(q) * z * lf.coef
+            dense = dense + np.sqrt(q) * z * lf
         assert np.max(np.abs(lift - dense)) <= 1e-14 * np.max(np.abs(dense))
 
         # At most two columns per lift, so the basis grows with the modes, not the grid.
@@ -300,6 +385,38 @@ class TestLiftAt:
         state_0 = init_ou_state(model, shifted, 0.0)
         lift_0 = setup_lift(setup_s, state_0)
         assert np.array_equal(lift_t, lift_0)
+
+
+class TestLiftAtStep:
+    """The one step rule: step n's lift, OU part held at a gridpoint, periodic part at n."""
+
+    def _setup(self, grid, vop):
+        model = small_model(grid, q0=0.05)
+        path = shift_path(make_noise_path(6, model.n_modes, H, -2.0, 2.0), 0.75)
+        return build_forcing(grid, vop, model, unit_periodic(grid, 0.4, 0.3), path)
+
+    def test_matches_written_rule_on_shifted_path(self, grid, vop):
+        setup = self._setup(grid, vop)
+        path = setup.path
+        dt, m = H / 2, 2
+        n_min, n_max = round(path.t_min / dt), round(path.t_max / dt)
+        for n in range(n_min + 1, n_max + 1):
+            for held in (n, n - 1):
+                state = init_ou_state(setup.model, path, (held // m) * path.dt_noise)
+                expect = lift_columns(setup, state, step_index=n + path.local_shift * m, dt=dt)
+                assert np.array_equal(lift_at_step(setup, n, dt, held=held), expect)
+        assert np.array_equal(lift_at_step(setup, n_min, dt),
+                              lift_at_step(setup, n_min, dt, held=n_min))
+
+    def test_rejects_steps_off_the_path_and_bad_dt(self, grid, vop):
+        setup = self._setup(grid, vop)
+        path = setup.path
+        dt = H / 2
+        for n in (round(path.t_min / dt) - 1, round(path.t_max / dt) + 2):
+            with pytest.raises(ValueError, match="outside path range"):
+                lift_at_step(setup, n, dt)
+        with pytest.raises(ValueError, match="must divide"):
+            lift_at_step(setup, 0, 0.7 * H)
 
 
 class TestColumnLift:

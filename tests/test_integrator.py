@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochqg import integrator
+from stochqg import forcing
 from stochqg.forcing import (
     PeriodicFlux,
     build_forcing,
@@ -175,15 +175,15 @@ class TestStepReport:
 
     def test_records_match_public_functions(self, ctx, grid, vop):
         # Rebuild every record from the public functions alone, with each
-        # step's OU state made afresh by init_ou_state.
+        # step's lift made afresh from init_ou_state.
         setup, u0 = self._setup(ctx, grid, vop)
         res = simulate(ctx, setup, u0, 0.0, 1.0, H, snapshot_every=1)
         states, lifts = [], []
         xi = inner_h(ctx, res.snapshots[0][1], res.snapshots[0][1])
         for n, (_, u) in enumerate(res.snapshots):
-            ou = init_ou_state(setup.model, setup.path, n * H)
-            states.append(SimState(u=u, n=n, dt=H, ou=ou, xi=xi))
-            lifts.append(setup_lift(setup, ou, step_index=n, dt=H))
+            states.append(SimState(u=u, n=n, dt=H, xi=xi))
+            lifts.append(setup_lift(setup, init_ou_state(setup.model, setup.path, n * H),
+                                    step_index=n, dt=H))
             xi = xi_step(xi, lifts[-1], H, ctx)
         rebuilt = []
         for k in range(len(states) - 1):
@@ -218,7 +218,7 @@ class TestStepReport:
             calls.append(kwargs["step_index"])
             return lift_columns(*args, **kwargs)
 
-        monkeypatch.setattr(integrator, "lift_columns", counted)
+        monkeypatch.setattr(forcing, "lift_columns", counted)
         res = simulate(ctx, setup, u0, 0.0, 8 * dt, dt)
         monkeypatch.undo()
         assert len(calls) == 1 + 8 * 1.25  # the initial state's lift, then 1.25 per step
@@ -240,7 +240,7 @@ class TestStepReport:
             calls.append(kwargs["step_index"])
             return lift_columns(*args, **kwargs)
 
-        monkeypatch.setattr(integrator, "lift_columns", counted)
+        monkeypatch.setattr(forcing, "lift_columns", counted)
         assert float(str(H)) == H and float(str(H)) is not H
         runs = []
         for make_dt in (lambda: H, lambda: float(str(H))):
@@ -298,7 +298,7 @@ class TestStepReport:
             calls.append(kwargs["step_index"])
             return lift_columns(*args, **kwargs)
 
-        monkeypatch.setattr(integrator, "lift_columns", counted)
+        monkeypatch.setattr(forcing, "lift_columns", counted)
         res = simulate(ctx, setup, u0, 0.0, 8 * H, H, record_diagnostics=False)
         assert len(calls) == 16
         assert "lift" not in vars(res.final) and "modes" not in vars(res.final)
@@ -403,8 +403,7 @@ class TestEnergyBudget:
         rng = np.random.default_rng(42)
         u = random_field(ctx, rng)
         setup = forcing_for(grid, vop, q0=0.05, amp=0.4, seed=9)
-        st = initial_state(ctx, setup, u, 0.0, H)
-        lift = setup_lift(setup, st.ou, step_index=0, dt=H)
+        lift = setup_lift(setup, init_ou_state(setup.model, setup.path, 0.0), step_index=0, dt=H)
         from stochqg.operators import apply_G
         psi = apply_G(ctx, u) + lift
         scale = max(norm_h(ctx, u), 1.0) ** 2 * max(norms(ctx, psi).v, 1.0)
@@ -419,7 +418,7 @@ class TestXiStep:
         assert out == pytest.approx(2.0 * np.exp(-ctx.nu * ctx.lambda1 * 0.5), rel=1e-14)
 
     def test_constant_source_fixed_point(self, ctx, grid, vop):
-        lift = solve_lift(grid, vop, mode_flux(grid, boundary_modes(grid, 4)[2])).coef
+        lift = solve_lift(grid, vop, mode_flux(grid, boundary_modes(grid, 4)[2]))
         from stochqg.operators import deriv_x
         c = norms(ctx, deriv_x(ctx, lift)).vdual ** 2
         xi_star = ctx.beta ** 2 * c / (ctx.nu ** 2 * ctx.lambda1)

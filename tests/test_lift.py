@@ -25,13 +25,13 @@ class TestSolveLift:
     def test_zero_flux(self, grid, vop):
         flux = BoundaryFlux(np.zeros((grid.ny, grid.nkx), dtype=complex))
         lift = solve_lift(grid, vop, flux)
-        assert np.all(lift.coef == 0.0)
+        assert np.all(lift == 0.0)
 
     def test_analytic_cosh_profile(self, grid, vop):
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[0, 1] = 1.0  # mode (k, l) = (1, 0), unit coefficient
         lift = solve_lift(grid, vop, BoundaryFlux(coef))
-        got = lift.coef[:, 0, 1].real
+        got = lift[:, 0, 1].real
         expect = analytic_profile(grid.z, 1.0)
         # O(dz^2) at the desk resolution; the convergence test pins the order.
         assert np.max(np.abs(got - expect)) < 2.5e-2 * np.max(np.abs(expect))
@@ -46,7 +46,7 @@ class TestSolveLift:
             coef[0, 1] = 1.0
             lift = solve_lift(grid, vop, BoundaryFlux(coef))
             expect = analytic_profile(grid.z, 1.0)
-            errs.append(np.max(np.abs(lift.coef[:, 0, 1].real - expect)))
+            errs.append(np.max(np.abs(lift[:, 0, 1].real - expect)))
         slopes = [
             np.log(errs[i] / errs[i + 1]) / np.log((sizes[i + 1] - 1) / (sizes[i] - 1))
             for i in range(len(errs) - 1)
@@ -60,9 +60,9 @@ class TestSolveLift:
         c1[2, 3] = rng.standard_normal() + 1j * rng.standard_normal()
         c2[5, 1] = rng.standard_normal() + 1j * rng.standard_normal()
         a, b = 0.6, -2.2
-        combo = solve_lift(grid, vop, BoundaryFlux(a * c1 + b * c2)).coef
-        parts = (a * solve_lift(grid, vop, BoundaryFlux(c1)).coef
-                 + b * solve_lift(grid, vop, BoundaryFlux(c2)).coef)
+        combo = solve_lift(grid, vop, BoundaryFlux(a * c1 + b * c2))
+        parts = (a * solve_lift(grid, vop, BoundaryFlux(c1))
+                 + b * solve_lift(grid, vop, BoundaryFlux(c2)))
         assert np.max(np.abs(combo - parts)) < 1e-14
 
     def test_rejects_mean_flux(self, grid, vop):
@@ -94,7 +94,7 @@ class TestSolveLift:
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[3, 2] = 1.0
         lift = solve_lift(grid, vop, BoundaryFlux(coef))
-        prof = np.abs(lift.coef[:, 3, 2])
+        prof = np.abs(lift[:, 3, 2])
         assert np.all(np.diff(prof) > 0.0)
 
     def test_mean_zero(self, grid, vop, ctx):
@@ -104,7 +104,7 @@ class TestSolveLift:
         coef[0, 0] = 0.0
         lift = solve_lift(grid, vop, BoundaryFlux(coef))
         # Zero (0,0) column entirely: horizontal mean vanishes at every level.
-        assert np.max(np.abs(lift.coef[:, 0, 0])) == 0.0
+        assert np.max(np.abs(lift[:, 0, 0])) == 0.0
 
 
 class TestBoundaryModes:
@@ -143,7 +143,7 @@ class TestPrecomputedLifts:
         lifts = precompute_mode_lifts(grid, vop, 4)
         idx = next(i for i, m in enumerate(modes) if (m.k, m.l, m.kind) == (1, 0, "cos"))
         amp = 1.0 / (2 * np.pi * np.sqrt(2.0))
-        got = lifts[idx].coef[:, 0, 1].real
+        got = lifts[idx][:, 0, 1].real
         expect = amp * analytic_profile(grid.z, 1.0)
         assert np.max(np.abs(got - expect)) < 2.5e-2 * np.max(np.abs(expect))
 
@@ -151,7 +151,7 @@ class TestPrecomputedLifts:
         lifts = precompute_mode_lifts(grid, vop, 8)
         for i in range(len(lifts)):
             for j in range(i + 1, len(lifts)):
-                ip = inner_h(ctx, lifts[i].coef, lifts[j].coef)
-                ni = np.sqrt(inner_h(ctx, lifts[i].coef, lifts[i].coef))
-                nj = np.sqrt(inner_h(ctx, lifts[j].coef, lifts[j].coef))
+                ip = inner_h(ctx, lifts[i], lifts[j])
+                ni = np.sqrt(inner_h(ctx, lifts[i], lifts[i]))
+                nj = np.sqrt(inner_h(ctx, lifts[j], lifts[j]))
                 assert abs(ip) < 1e-12 * ni * nj

@@ -11,9 +11,11 @@ pullback absorbing, and seeds the attractor ensembles.  All attractor claims
 are evaluated at integer times (the period of the deterministic forcing),
 matching the discrete-time restriction under which the flow is a random
 dynamical system; continuous-time sets are produced by flowing the
-integer-time estimate forward.  Ensemble members evolve under the same noise
-realization with per-member seed streams, so results are deterministic
-regardless of scheduling.
+integer-time estimate forward.  Every trajectory, ensemble members included,
+runs through ``integrator.simulate``, one member at a time; the growth series
+keeps only (t, max ||u||_H) per record.  Ensemble members evolve under the
+same noise realization with per-member seed streams, so results are
+deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .forcing import (ForcingSetup, ensemble_stream, lift_at_step, shift_path, steps_per_noise,
                       tail_slope)
-from .integrator import initial_state, simulate, step
+from .integrator import simulate
 from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
 
 
@@ -47,6 +49,8 @@ class PullbackConfig:
                              "of positive times")
         if self.ensemble < 8:
             raise ValueError("ensemble size must be at least 8")
+        if self.leading_modes < 1:
+            raise ValueError("leading_modes must be at least 1")
         if self.sampling_rule not in ("sphere", "ball"):
             raise ValueError(f"unknown sampling rule {self.sampling_rule!r}")
         if not 0.0 <= self.phase < 1.0:
@@ -159,11 +163,11 @@ def leading_real_modes(ctx: OperatorContext, count: int) -> list[tuple[int, int,
     mu = ctx.vop.mu
     plane = grid.half_plane()
     n_total = grid.nz * (2 * len(plane) - 1) - 1  # (0, 0) has only cos; (0, 0, 0) is out
-    if count > n_total:
-        raise ValueError("not enough resolvable modes")
+    if not 1 <= count <= n_total:
+        raise ValueError(f"mode count {count} outside [1, {n_total}] (the resolvable modes)")
     # The m = 0 modes: lam = k^2 + l^2 exactly, one cos and one sin per (k, l).
     flat = sorted(k * k + l * l for k, l in plane if (k, l) != (0, 0))
-    bound = flat[(count - 1) // 2] if 0 < count <= 2 * len(flat) else np.inf
+    bound = flat[(count - 1) // 2] if count <= 2 * len(flat) else np.inf
     cands = []
     for m in range(grid.nz):
         if mu[m] > bound:
@@ -310,15 +314,15 @@ class GrowthDiagnostic:
     stderr: float
 
 
-def growth_diagnostic(ctx: OperatorContext, series) -> GrowthDiagnostic:
+def growth_diagnostic(series) -> GrowthDiagnostic:
     """Tail slope of log+ dist_H(A(theta_t omega), {0}) over an estimate series.
 
-    `series` is a sequence of (t, endpoint set); at least 50 time points.
+    `series` is a sequence of (t, max ||u||_H over the set); at least 50 time points.
     """
     if len(series) < 50:
         raise ValueError("need at least 50 time points")
     times = np.array([t for t, _ in series], dtype=float)
-    r = np.array([max(norm_h(ctx, u) for u in pts) for _, pts in series])
+    r = np.array([r for _, r in series], dtype=float)
     log_plus = np.maximum(np.log(np.maximum(r, 1e-300)), 0.0)
     slope, se = tail_slope(times, log_plus)
     return GrowthDiagnostic(times=times, log_plus=log_plus, slope=slope, stderr=se)
@@ -326,19 +330,19 @@ def growth_diagnostic(ctx: OperatorContext, series) -> GrowthDiagnostic:
 
 def flow_estimate(ctx: OperatorContext, forcing: ForcingSetup,
                   estimate: AttractorEstimate, dt: float, t_end: float,
-                  record_every: float = 1.0):
-    """Flow the integer-time estimate forward, recording A(theta_t omega).
+                  record_every: float = 1.0) -> list[tuple[float, float]]:
+    """Flow the integer-time estimate forward, recording (t, max ||u||_H over A(theta_t omega)).
 
-    Returns a list of (t, endpoint set) suitable for growth_diagnostic; this
-    is how continuous-time sets are produced from the discrete-time estimate.
+    Members run one at a time through ``simulate``; records at 0, record_every,
+    ..., t_end feed growth_diagnostic.  This is how continuous-time sets are
+    produced from the discrete-time estimate.
     """
-    T = estimate.horizons[-1]
-    states = [initial_state(ctx, forcing, u, 0.0, dt) for u in estimate.endpoints[T]]
-    n_rec = round(record_every / dt)
-    out = [(0.0, [s.u for s in states])]
-    n_total = round(t_end / dt)
-    for k in range(1, n_total + 1):
-        states = [step(s, dt, ctx, forcing) for s in states]
-        if k % n_rec == 0:
-            out.append((k * dt, [s.u for s in states]))
-    return out
+    n_rec, n_total = round(record_every / dt), round(t_end / dt)
+    if n_rec < 1 or n_total < 1 or n_total % n_rec:
+        raise ValueError("t_end must be a positive multiple of record_every")
+    norms = []  # per member, its H norm at each record
+    for u in estimate.endpoints[estimate.horizons[-1]]:
+        norms.append([])
+        simulate(ctx, forcing, u, 0.0, n_total * dt, dt, snapshot_every=n_rec,
+                 record_diagnostics=False, snapshot_sink=lambda t, v: norms[-1].append(norm_h(ctx, v)))
+    return [(i * n_rec * dt, max(r)) for i, r in enumerate(zip(*norms))]

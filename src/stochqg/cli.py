@@ -187,7 +187,7 @@ def cmd_pullback(rt: Runtime) -> int:
         rec_steps, t_end = growth
         series = flow_estimate(rt.ctx, rt.forcing, est, cfg.dt, t_end,
                                record_every=rec_steps * cfg.dt)
-        slope = growth_diagnostic(rt.ctx, series[1:]).slope
+        slope = growth_diagnostic(series[1:]).slope
 
     with open(out / "attractor_report.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# config={rt.chash} version={__version__}\n")

@@ -212,10 +212,14 @@ def validate_config(cfg: SimConfig) -> list[str]:
         errs.append("seed must be a nonnegative 63-bit integer")
     if cfg.init_kind not in ("zero", "eigenmode", "random"):
         errs.append("init.kind must be zero|eigenmode|random")
+    if cfg.init_modes < 1:
+        errs.append("init.modes must be at least 1")
     if cfg.sampling_rule not in ("sphere", "ball"):
         errs.append("pullback.sampling_rule must be sphere|ball")
     if cfg.ensemble < 8:
         errs.append("pullback.ensemble must be at least 8")
+    if cfg.leading_modes < 1:
+        errs.append("pullback.leading_modes must be at least 1")
     try:
         hs = horizon_list(cfg)
         if not hs or hs[0] <= 0 or any(b <= a for a, b in zip(hs, hs[1:])):

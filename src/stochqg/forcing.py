@@ -498,12 +498,10 @@ def temperedness_series(ctx: OperatorContext, setup: ForcingSetup, horizon: floa
     n = int(round(horizon / sample_dt))
     if n < 2:
         raise ValueError("horizon too short")
-    state = init_ou_state(setup.model, path, t0)
     times = np.empty(n)
     logplus = np.empty(n)
     for k in range(1, n + 1):
-        state = advance_ou(state, sample_dt, path, setup.model)
-        lift = setup_lift(setup, state)
+        lift = setup_lift(setup, init_ou_state(setup.model, path, t0 + k * sample_dt))
         times[k - 1] = k * sample_dt
         logplus[k - 1] = max(np.log(max(norm_h(ctx, lift), 1e-300)), 0.0)
     ratio = logplus / np.abs(times)

@@ -370,12 +370,17 @@ def h2_scale(ctx: OperatorContext, u: np.ndarray) -> float:
 def unit_eigenmode(ctx: OperatorContext, m: int, l: int, k: int, kind: str = "cos") -> np.ndarray:
     """Real A-eigenmode with exact unit H norm.
 
-    (m, l, k) selects the vertical eigenfunction and the horizontal wave;
-    k indexes the stored rfft column (0 <= k < nkx, Nyquist excluded), l the
-    signed ky.  For k == 0 the conjugate partner column is filled so the
-    field is real; (m, l, k) = (0, 0, 0) is the excluded constant.
+    (m, l, k) selects the vertical eigenfunction (0 <= m < nz) and the
+    horizontal wave; k indexes the stored rfft column (0 <= k < nkx, Nyquist
+    excluded), l the signed ky (|l| < ny/2).  For k == 0 the conjugate
+    partner column is filled so the field is real; (m, l, k) = (0, 0, 0) is
+    the excluded constant.
     """
     grid = ctx.grid
+    if not 0 <= m < grid.nz:
+        raise ValueError(f"m out of range [0, nz = {grid.nz})")
+    if 2 * abs(l) >= grid.ny:
+        raise ValueError(f"l out of range (|l| < ny/2 = {grid.ny // 2}, Nyquist excluded)")
     if k < 0 or k >= grid.nkx - 1:
         raise ValueError("k out of range (Nyquist excluded)")
     if (m, l, k) == (0, 0, 0):

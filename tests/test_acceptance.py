@@ -421,9 +421,9 @@ def test_criterion_6_dynamical_systems(desk, dyn):
     slopes, raw_slopes = [], []
     for fs, est in estimates[:3]:
         series = flow_estimate(ctx, fs, est, DYN_DT, t_end=50.0)
-        g = growth_diagnostic(ctx, series[1:])
+        g = growth_diagnostic(series[1:])
         slopes.append(g.slope)
-        raw = np.log([max(norm_h(ctx, u) for u in pts) for _, pts in series[1:]])
+        raw = np.log([r for _, r in series[1:]])
         raw_slopes.append(tail_slope(g.times, raw)[0])
     mean = float(np.mean(slopes))
     se = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))

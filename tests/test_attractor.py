@@ -1,6 +1,7 @@
 """xi*, absorbing ball, cocycle, pullback ensembles, growth diagnostics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,8 +232,9 @@ class TestSampling:
         n_all = len(_all_real_modes(ctx))
         for count in (1, 5, 12, 40, n_all):
             assert leading_real_modes(ctx, count) == _all_real_modes(ctx)[:count]
-        with pytest.raises(ValueError):
-            leading_real_modes(ctx, n_all + 1)
+        for count in (n_all + 1, 0, -1):
+            with pytest.raises(ValueError, match="mode count"):
+                leading_real_modes(ctx, count)
 
 
 def _all_real_modes(ctx):
@@ -380,6 +382,8 @@ class TestPullback:
             PullbackConfig(horizons=(2, 4), ensemble=4)
         with pytest.raises(ValueError):
             PullbackConfig(horizons=(2,), ensemble=8, sampling_rule="cube")
+        with pytest.raises(ValueError, match="leading_modes"):
+            PullbackConfig(horizons=(2,), ensemble=8, leading_modes=0)
 
 
 class TestInvariance:
@@ -411,36 +415,72 @@ class TestInvariance:
 
 class TestGrowthDiagnostic:
     def test_requires_fifty_points(self, ctx):
+        zero = np.zeros((ctx.grid.nz, ctx.grid.ny, ctx.grid.nkx), complex)
         with pytest.raises(ValueError):
-            growth_diagnostic(ctx, [(0.0, [np.zeros((ctx.grid.nz, ctx.grid.ny,
-                                                     ctx.grid.nkx), complex)])] * 10)
+            growth_diagnostic([(0.0, norm_h(ctx, zero))] * 10)
 
     def test_stationary_series_zero_slope(self, ctx):
         rng = np.random.default_rng(17)
         e = unit_eigenmode(ctx, 0, 1, 0)
-        series = [(float(t), [(2.0 + 0.3 * rng.standard_normal()) * e])
+        series = [(float(t), norm_h(ctx, (2.0 + 0.3 * rng.standard_normal()) * e))
                   for t in range(1, 81)]
-        g = growth_diagnostic(ctx, series)
+        g = growth_diagnostic(series)
         assert abs(g.slope) <= 3.0 * g.stderr + 1e-3
 
     def test_norm_rescaling_invariance(self, ctx):
         # Scaling the sets shifts log+ by a constant: the slope is unchanged.
         rng = np.random.default_rng(18)
         e = unit_eigenmode(ctx, 0, 1, 0)
-        series = [(float(t), [(3.0 + 0.2 * rng.standard_normal()) * e])
-                  for t in range(1, 81)]
-        g1 = growth_diagnostic(ctx, series)
-        series2 = [(t, [5.0 * u for u in pts]) for t, pts in series]
-        g2 = growth_diagnostic(ctx, series2)
+        sets = [(float(t), (3.0 + 0.2 * rng.standard_normal()) * e) for t in range(1, 81)]
+        g1 = growth_diagnostic([(t, norm_h(ctx, u)) for t, u in sets])
+        g2 = growth_diagnostic([(t, norm_h(ctx, 5.0 * u)) for t, u in sets])
         assert abs(g1.slope - g2.slope) <= 1e-6 + 1e-9
 
 
 class TestFlowEstimate:
-    def test_records_expected_times(self, grid, vop):
+    def _estimate(self, grid, vop):
         ctx = dyn_ctx(grid, vop)
         setup = dyn_forcing(grid, vop, t_max=16.0)
         cfg = PullbackConfig(horizons=(2,), ensemble=8, leading_modes=8, seed=19, phase=0.2)
-        est = pullback_run(cfg, ctx, setup, DT)
+        return ctx, setup, pullback_run(cfg, ctx, setup, DT)
+
+    def test_records_expected_times(self, grid, vop):
+        ctx, setup, est = self._estimate(grid, vop)
         series = flow_estimate(ctx, setup, est, DT, t_end=3.0)
         assert [t for t, _ in series] == [0.0, 1.0, 2.0, 3.0]
-        assert all(len(pts) == 8 for _, pts in series)
+        assert all(type(r) is float and r > 0.0 for _, r in series)
+
+    def test_series_is_member_max_of_h_norm(self, grid, vop):
+        # Bitwise the per-record max over the members, each run on its own.
+        ctx, setup, est = self._estimate(grid, vop)
+        series = flow_estimate(ctx, setup, est, DT, t_end=3.0, record_every=0.5)
+        runs = [simulate(ctx, setup, u, 0.0, 3.0, DT, snapshot_every=4,
+                         record_diagnostics=False).snapshots for u in est.endpoints[2]]
+        assert len(runs) == 8
+        want = [(runs[0][i][0], max(norm_h(ctx, run[i][1]) for run in runs))
+                for i in range(len(runs[0]))]
+        assert [t for t, _ in want] == [0.5 * i for i in range(7)]
+        assert series == want
+
+    def test_series_retains_one_float_per_record(self, grid, vop):
+        # Only the norms outlive the call (a few KiB against a 148 KiB field),
+        # and one member runs at a time.
+        ctx, setup, est = self._estimate(grid, vop)
+        flow_estimate(ctx, setup, est, DT, t_end=1.0)  # first-use caches of the setup
+        field = grid.nz * grid.ny * grid.nkx * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            series = flow_estimate(ctx, setup, est, DT, t_end=4.0, record_every=0.25)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 17
+        assert kept < 8192 + 128 * len(series), kept
+        assert peak < 12 * field, peak / field
+
+    def test_rejects_t_end_off_the_record_grid(self, grid, vop):
+        ctx, setup, est = self._estimate(grid, vop)
+        for t_end, every in [(2.5, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError, match="multiple of record_every"):
+                flow_estimate(ctx, setup, est, DT, t_end=t_end, record_every=every)

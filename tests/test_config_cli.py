@@ -3,6 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,13 @@ class TestParseConfig:
             parse_config(f"pullback.horizons = {horizons}\n")
         assert any("strictly increasing" in v for v in err.value.violations)
         assert parse_config("pullback.horizons = 1,2\n").horizons == "1,2"
+
+    def test_mode_counts_reported_with_other_violations(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("physics.nu = 0\ninit.modes = 0\npullback.leading_modes = -1\n")
+        assert err.value.violations == ["viscosity must be positive",
+                                         "init.modes must be at least 1",
+                                         "pullback.leading_modes must be at least 1"]
 
     def test_round_trip(self):
         cfg = parse_config("grid.nx = 16\nphysics.nu = 1.25\nnoise.q0 = 0.125\n"
@@ -189,6 +201,37 @@ class TestCLI:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "config"
         assert "viscosity" in record["message"]
+
+    @pytest.mark.parametrize("command, key", [("simulate", "init.modes"),
+                                              ("pullback", "pullback.leading_modes")])
+    def test_zero_mode_count_exit_one(self, tmp_path, capsys, command, key):
+        # Rejected before any work: no zero field, no divide-by-zero warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--set", f"output.dir={tmp_path}", *FAST,
+                       "--set", "init.kind=random", "--set", f"{key}=0"])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert f"{key} must be at least 1" in record["message"]
+
+    @pytest.mark.parametrize("index", ["init.m=17", "init.m=-1", "init.l=33", "init.l=16",
+                                       "init.l=-16"])
+    def test_out_of_band_eigenmode_exit_one(self, tmp_path, index):
+        # Out of band at the default 32x32x17 grid (0 <= m < 17, |l| < 16).
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "stochqg.cli", "simulate",
+                              "--set", f"output.dir={tmp_path}", "--set", "init.kind=eigenmode",
+                              "--set", index], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 1
+        record = json.loads(out.stderr.strip().splitlines()[-1])
+        assert record["error"] == "invalid-request"
+        assert f"{index[5]} out of range" in record["message"]
 
     def test_truncated_noise_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "noise.bin"

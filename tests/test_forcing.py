@@ -609,6 +609,29 @@ class TestStationarityAndTemperedness:
         tail = slice(len(times) // 2, None)
         assert np.mean(ratios[1][tail] - ratios[0][tail]) < np.log(4.0) / times[tail][0]
 
+    def test_reads_the_path_ou_series(self, ctx, grid, vop, monkeypatch):
+        # 100 samples on a 3,200-step path draw no normals beyond the path's own
+        # OU series (one per gridpoint), and give the bits of an OU walk from t0.
+        model = small_model(grid, n_modes=4, q0=1.0)
+        path = make_noise_path(78, model.n_modes, H, 0.0, 200.0)
+        setup = build_forcing(grid, vop, model, unit_periodic(grid, 1.0, 0.2), path)
+        calls = []
+        unit_normal = NoisePath.unit_normal
+
+        def counted(self, j_abs):
+            calls.append(j_abs)
+            return unit_normal(self, j_abs)
+
+        monkeypatch.setattr(NoisePath, "unit_normal", counted)
+        times, ratio, _, _ = temperedness_series(ctx, setup, 100.0)
+        assert len(times) == 100
+        assert len(calls) == len(set(calls)) == path.n_steps == 3200
+        state, walked = init_ou_state(model, path, 0.0), []
+        for _ in range(100):
+            state = advance_ou(state, 1.0, path, model)
+            walked.append(max(np.log(max(norm_h(ctx, setup_lift(setup, state)), 1e-300)), 0.0))
+        assert np.array_equal(ratio, np.array(walked) / times)
+
 
 class TestTailSlope:
     def test_recovers_linear_trend(self):

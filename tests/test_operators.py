@@ -336,6 +336,16 @@ class TestNorms:
             assert abs(n.v - np.sqrt(lam)) < 1e-10
             assert abs(n.vdual - 1.0 / np.sqrt(lam)) < 1e-10
 
+    @pytest.mark.parametrize("m, l", [(17, 1), (-1, 1), (1, 16), (1, -16), (1, 33)])
+    def test_out_of_band_eigenmode_rejected(self, ctx, m, l):
+        # 32x32x17: 0 <= m < 17 and |l| < 16.
+        with pytest.raises(ValueError, match="out of range"):
+            unit_eigenmode(ctx, m, l, 1)
+
+    def test_band_edge_eigenmodes(self, ctx):
+        for m, l in [(16, 15), (16, -15), (0, 15)]:
+            assert abs(norm_h(ctx, unit_eigenmode(ctx, m, l, 1)) - 1.0) < 1e-12
+
     def test_poincare(self, ctx):
         rng = np.random.default_rng(19)
         for _ in range(10):

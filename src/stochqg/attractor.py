@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import (ForcingSetup, ensemble_stream, lift_at_step, shift_path, steps_per_noise,
-                      tail_slope)
+from .forcing import (ForcingSetup, ensemble_stream, grid_steps, lift_at_step, shift_path,
+                      steps_per_noise, tail_slope)
 from .integrator import simulate
 from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
 
@@ -104,7 +104,7 @@ def pullback_window(config: PullbackConfig, ctx: OperatorContext, dt: float,
     """
     m = steps_per_noise(dt, dt_noise)
     n = _quad_steps(ctx, config.quad_horizon, dt)
-    first = min((round(-T / dt) - n) // m for T in config.horizons)
+    first = min((grid_steps(-T, dt, f"horizon {T}") - n) // m for T in config.horizons)
     return first * dt_noise, 0.0
 
 
@@ -116,21 +116,15 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
     [at - H, at]; the reported truncation bound is
     e^{-nu lam1 H} (sup observed source)/(nu lam1).
     """
-    path = forcing.path
     if dt is None:
-        dt = path.dt_noise
+        dt = forcing.path.dt_noise
     rate = ctx.nu * ctx.lambda1
     n = _quad_steps(ctx, quad_horizon, dt)
     horizon = n * dt
-    n_at = round(at / dt)
-    if abs(n_at * dt - at) > 1e-9 * max(1.0, abs(at)):
-        raise ValueError("quadrature endpoint must lie on the step grid")
-    t_start = (n_at - n) * dt
-    if t_start < path.t_min - 1e-9 or at > path.t_max + 1e-9:
-        raise ValueError(f"path [{path.t_min}, {path.t_max}] does not cover "
-                         f"[{t_start}, {at}]")
+    n_at = grid_steps(at, dt, "quadrature endpoint")
 
-    # Each step's lift is the one the stepper uses, so xi* sees its source.
+    # Each step's lift is the one the stepper uses, so xi* sees its source;
+    # ``lift_at_step`` rejects a step the path does not cover.
     src = np.empty(n + 1)
     for k in range(n + 1):
         vdual = lift_terms(ctx, forcing.support, lift_at_step(forcing, n_at - n + k, dt))[0]
@@ -272,9 +266,7 @@ def cocycle_check(ctx: OperatorContext, forcing: ForcingSetup, s: float, t: floa
     to absolute indices, so the deviation is bitwise zero by design.
     """
     for name, val in (("s", s), ("t", t)):
-        n = round(val / dt)
-        if abs(n * dt - val) > 1e-12 * max(1.0, abs(val)):
-            raise ValueError(f"{name} must be a multiple of dt")
+        grid_steps(val, dt, name)
 
     def run(setup, u, a, b):
         if b == a:
@@ -337,7 +329,7 @@ def flow_estimate(ctx: OperatorContext, forcing: ForcingSetup,
     ..., t_end feed growth_diagnostic.  This is how continuous-time sets are
     produced from the discrete-time estimate.
     """
-    n_rec, n_total = round(record_every / dt), round(t_end / dt)
+    n_rec, n_total = grid_steps(record_every, dt, "record_every"), grid_steps(t_end, dt, "t_end")
     if n_rec < 1 or n_total < 1 or n_total % n_rec:
         raise ValueError("t_end must be a positive multiple of record_every")
     norms = []  # per member, its H norm at each record

@@ -10,9 +10,12 @@ provenance is the sha256 of the normalized text.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .forcing import steps_per_noise
 
 
 class ConfigError(ValueError):
@@ -23,102 +26,58 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.violations))
 
 
+def _key(key: str, default):
+    """A config field: its document key, with the default that also fixes its type."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class SimConfig:
-    # grid
-    nx: int = 32
-    ny: int = 32
-    nz: int = 17
-    # physics
-    nu: float = 0.5
-    beta: float = 1.0
-    f0: float = 1.0
-    n_of_z: str = "1.0"          # constant, or comma-separated table of nz values
-    # noise
-    n_modes: int = 8
-    q0: float = 0.01
-    p: float = 3.0
-    tau_c: float = 0.5
-    dt_noise: float = 0.0625
-    noise_t_min: float = -64.0
-    noise_t_max: float = 16.0
-    noise_file: str = ""
-    # periodic flux
-    amplitude: float = 0.0
-    mode_k: int = 1
-    mode_l: int = 0
-    phase: float = 0.0
-    # time stepping
-    dt: float = 0.0625
-    t0: float = 0.0
-    t1: float = 4.0
-    snapshot_every: int = 0
-    linear_only: bool = False
-    # initial data
-    init_kind: str = "zero"      # zero | eigenmode | random
-    init_amplitude: float = 0.1
-    init_m: int = 1
-    init_l: int = 1
-    init_k: int = 1
-    init_modes: int = 12
-    # orchestration
-    seed: int = 12345
-    out_dir: str = "out"
-    # pullback block
-    horizons: str = "2,4,8,16"
-    ensemble: int = 8
-    sampling_rule: str = "sphere"
-    leading_modes: int = 12
-    quad_horizon: float = 0.0    # 0: default 20/(nu lam1)
-    # cocycle block
-    cocycle_s: float = 1.0
-    cocycle_t: float = 1.0
+    """One field per key; the field's ``metadata["key"]`` is its name in the document."""
+
+    nx: int = _key("grid.nx", 32)
+    ny: int = _key("grid.ny", 32)
+    nz: int = _key("grid.nz", 17)
+    nu: float = _key("physics.nu", 0.5)
+    beta: float = _key("physics.beta", 1.0)
+    f0: float = _key("physics.f0", 1.0)
+    n_of_z: str = _key("physics.N", "1.0")  # constant, or comma-separated table of nz values
+    n_modes: int = _key("noise.n_modes", 8)
+    q0: float = _key("noise.q0", 0.01)
+    p: float = _key("noise.p", 3.0)
+    tau_c: float = _key("noise.tau_c", 0.5)
+    dt_noise: float = _key("noise.dt_noise", 0.0625)
+    noise_t_min: float = _key("noise.t_min", -64.0)
+    noise_t_max: float = _key("noise.t_max", 16.0)
+    noise_file: str = _key("noise.file", "")
+    amplitude: float = _key("periodic.amplitude", 0.0)
+    mode_k: int = _key("periodic.mode_k", 1)
+    mode_l: int = _key("periodic.mode_l", 0)
+    phase: float = _key("periodic.phase", 0.0)
+    dt: float = _key("time.dt", 0.0625)
+    t0: float = _key("time.t0", 0.0)
+    t1: float = _key("time.t1", 4.0)
+    snapshot_every: int = _key("time.snapshot_every", 0)
+    linear_only: bool = _key("time.linear_only", False)
+    init_kind: str = _key("init.kind", "zero")  # zero | eigenmode | random
+    init_amplitude: float = _key("init.amplitude", 0.1)
+    init_m: int = _key("init.m", 1)
+    init_l: int = _key("init.l", 1)
+    init_k: int = _key("init.k", 1)
+    init_modes: int = _key("init.modes", 12)
+    seed: int = _key("seed", 12345)
+    out_dir: str = _key("output.dir", "out")
+    horizons: str = _key("pullback.horizons", "2,4,8,16")
+    ensemble: int = _key("pullback.ensemble", 8)
+    sampling_rule: str = _key("pullback.sampling_rule", "sphere")
+    leading_modes: int = _key("pullback.leading_modes", 12)
+    quad_horizon: float = _key("pullback.quad_horizon", 0.0)  # 0: default 20/(nu lam1)
+    cocycle_s: float = _key("cocycle.s", 1.0)
+    cocycle_t: float = _key("cocycle.t", 1.0)
 
 
-# key in the document -> (attribute, type)
-_SCHEMA = {
-    "grid.nx": ("nx", int),
-    "grid.ny": ("ny", int),
-    "grid.nz": ("nz", int),
-    "physics.nu": ("nu", float),
-    "physics.beta": ("beta", float),
-    "physics.f0": ("f0", float),
-    "physics.N": ("n_of_z", str),
-    "noise.n_modes": ("n_modes", int),
-    "noise.q0": ("q0", float),
-    "noise.p": ("p", float),
-    "noise.tau_c": ("tau_c", float),
-    "noise.dt_noise": ("dt_noise", float),
-    "noise.t_min": ("noise_t_min", float),
-    "noise.t_max": ("noise_t_max", float),
-    "noise.file": ("noise_file", str),
-    "periodic.amplitude": ("amplitude", float),
-    "periodic.mode_k": ("mode_k", int),
-    "periodic.mode_l": ("mode_l", int),
-    "periodic.phase": ("phase", float),
-    "time.dt": ("dt", float),
-    "time.t0": ("t0", float),
-    "time.t1": ("t1", float),
-    "time.snapshot_every": ("snapshot_every", int),
-    "time.linear_only": ("linear_only", bool),
-    "init.kind": ("init_kind", str),
-    "init.amplitude": ("init_amplitude", float),
-    "init.m": ("init_m", int),
-    "init.l": ("init_l", int),
-    "init.k": ("init_k", int),
-    "init.modes": ("init_modes", int),
-    "seed": ("seed", int),
-    "output.dir": ("out_dir", str),
-    "pullback.horizons": ("horizons", str),
-    "pullback.ensemble": ("ensemble", int),
-    "pullback.sampling_rule": ("sampling_rule", str),
-    "pullback.leading_modes": ("leading_modes", int),
-    "pullback.quad_horizon": ("quad_horizon", float),
-    "cocycle.s": ("cocycle_s", float),
-    "cocycle.t": ("cocycle_t", float),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}
+# key in the document -> (attribute, type), in field order
+_SCHEMA = {f.metadata["key"]: (f.name, type(f.default)) for f in fields(SimConfig)}
 
 
 def _parse_value(raw: str, typ, key: str, errors: list):
@@ -130,10 +89,14 @@ def _parse_value(raw: str, typ, key: str, errors: list):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        val = typ(raw)
     except ValueError:
         errors.append(f"{key}: cannot parse {raw!r} as {typ.__name__}")
         return None
+    if typ is float and not math.isfinite(val):
+        errors.append(f"{key}: {raw!r} is not finite")
+        return None
+    return val
 
 
 def parse_config(text: str) -> SimConfig:
@@ -197,8 +160,9 @@ def validate_config(cfg: SimConfig) -> list[str]:
     if cfg.dt <= 0:
         errs.append("time.dt must be positive")
     elif cfg.dt_noise > 0:
-        m = round(cfg.dt_noise / cfg.dt)
-        if m < 1 or abs(m * cfg.dt - cfg.dt_noise) > 1e-9 * cfg.dt_noise:
+        try:
+            steps_per_noise(cfg.dt, cfg.dt_noise)
+        except ValueError:
             errs.append("time.dt must divide noise.dt_noise")
     if cfg.noise_t_min >= cfg.noise_t_max:
         errs.append("noise.t_min must precede noise.t_max")
@@ -248,9 +212,8 @@ def _format_value(val) -> str:
 def normalize_config(cfg: SimConfig) -> str:
     """Canonical text: every key explicit, schema order, normalized values."""
     lines = []
-    for f in fields(SimConfig):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
+    for key, (attr, _) in _SCHEMA.items():
+        lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
     return "\n".join(lines) + "\n"
 
 

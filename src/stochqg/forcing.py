@@ -27,6 +27,7 @@ run from them.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,6 +45,21 @@ _IDX_OFFSET = 1 << 62
 _MAGIC = b"SQGNOIS1"
 _HEADER = struct.Struct("<8sIQIddd")  # magic, version, seed, n_modes, dt_noise, t_min, t_max
 _FILE_VERSION = 1
+
+
+def grid_steps(t: float, h: float, what: str) -> int:
+    """The integer n with n*h = t, to a relative 1e-9 of max(1, |t|).
+
+    The one rule by which a time becomes an index on a step or noise grid.
+    Raises ValueError naming ``what`` when t is off the grid or not finite,
+    or when h is not positive and finite.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"{what}: grid step {h} must be positive and finite")
+    q = t / h
+    if not math.isfinite(q) or abs(round(q) * h - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{what}: {t} is not a multiple of the grid step {h}")
+    return round(q)
 
 
 def _stream(seed: int, namespace: int, *key: int) -> np.random.Generator:
@@ -151,10 +167,7 @@ class NoisePath:
 
     def abs_step(self, t: float) -> int:
         """Absolute step index of a local time on the noise grid."""
-        j_local = round(t / self.dt_noise)
-        if abs(j_local * self.dt_noise - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the noise grid (dt_noise={self.dt_noise})")
-        j = j_local + self.local_shift
+        j = grid_steps(t, self.dt_noise, "noise-grid time") + self.local_shift
         if j < self.i0_abs or j > self.i0_abs + self.n_steps:
             raise ValueError(f"time {t} outside path range [{self.t_min}, {self.t_max}]")
         return j
@@ -171,14 +184,9 @@ class NoisePath:
 
 
 def make_noise_path(seed: int, n_modes: int, dt_noise: float, t_min: float, t_max: float) -> NoisePath:
-    if dt_noise <= 0.0:
-        raise ValueError("dt_noise must be positive")
     if not 0 <= int(seed) < (1 << 63):
         raise ValueError("seed must be a nonnegative 63-bit integer")
-    i0 = round(t_min / dt_noise)
-    i1 = round(t_max / dt_noise)
-    if abs(i0 * dt_noise - t_min) > 1e-9 or abs(i1 * dt_noise - t_max) > 1e-9:
-        raise ValueError("t_min, t_max must lie on the dt_noise grid")
+    i0, i1 = grid_steps(t_min, dt_noise, "t_min"), grid_steps(t_max, dt_noise, "t_max")
     if i1 <= i0:
         raise ValueError("t_max must exceed t_min")
     return NoisePath(seed=int(seed), n_modes=int(n_modes), dt_noise=float(dt_noise),
@@ -187,9 +195,7 @@ def make_noise_path(seed: int, n_modes: int, dt_noise: float, t_min: float, t_ma
 
 def shift_path(path: NoisePath, s: float) -> NoisePath:
     """theta_s: relabel local time so that local t reads absolute t + s."""
-    js = round(s / path.dt_noise)
-    if abs(js * path.dt_noise - s) > 1e-9 * max(1.0, abs(s)):
-        raise ValueError("shift must be a multiple of dt_noise")
+    js = grid_steps(s, path.dt_noise, "shift s")
     out = NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
                     i0_abs=path.i0_abs, n_steps=path.n_steps,
                     local_shift=path.local_shift + js, _stored=path._stored)
@@ -204,10 +210,9 @@ def extend_noise_path(path: NoisePath, t_min: float, t_max: float) -> NoisePath:
     generation would produce); stored values from a loaded file win on the
     overlap.
     """
-    i0_new = round((t_min + path.local_shift * path.dt_noise) / path.dt_noise)
-    i1_new = round((t_max + path.local_shift * path.dt_noise) / path.dt_noise)
-    i0 = min(i0_new, path.i0_abs)
-    i1 = max(i1_new, path.i0_abs + path.n_steps)
+    i0 = min(grid_steps(t_min, path.dt_noise, "t_min") + path.local_shift, path.i0_abs)
+    i1 = max(grid_steps(t_max, path.dt_noise, "t_max") + path.local_shift,
+             path.i0_abs + path.n_steps)
     out = NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
                     i0_abs=i0, n_steps=i1 - i0, local_shift=path.local_shift)
     if path._stored is not None:
@@ -243,12 +248,15 @@ def load_noise_path(fname) -> NoisePath:
             raise ValueError(f"not a noise-path file (magic {magic!r})")
         if version != _FILE_VERSION:
             raise ValueError(f"unsupported noise-path version {version}")
-        n_steps = round((t_max - t_min) / dt_noise)
+        i0 = grid_steps(t_min, dt_noise, f"{fname}: header t_min")
+        n_steps = grid_steps(t_max, dt_noise, f"{fname}: header t_max") - i0
+        if n_steps < 1:
+            raise ValueError(f"{fname}: header t_max must exceed t_min")
         payload = fh.read()
     check_byte_count(fname, "noise-path payload", n_modes * n_steps * 8, len(payload))
     data = np.frombuffer(payload, dtype="<f8").reshape(n_modes, n_steps).copy()
     return NoisePath(seed=seed, n_modes=n_modes, dt_noise=dt_noise,
-                     i0_abs=round(t_min / dt_noise), n_steps=n_steps, _stored=data)
+                     i0_abs=i0, n_steps=n_steps, _stored=data)
 
 
 @dataclass(frozen=True)
@@ -315,8 +323,8 @@ def advance_ou(state: OUBoundaryState, dt: float, path: NoisePath, model: NoiseM
     semigroup property holds bitwise on shared increments.
     """
     h = path.dt_noise
-    n = round(dt / h)
-    if n < 0 or abs(n * h - dt) > 1e-9 * max(1.0, abs(dt)):
+    n = grid_steps(dt, h, "OU update span dt")
+    if n < 0:
         raise ValueError(f"dt={dt} is not a nonnegative multiple of dt_noise={h}")
     if n == 0:
         return state
@@ -402,8 +410,8 @@ def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
 
 def steps_per_noise(dt: float, dt_noise: float) -> int:
     """Steps of dt per noise step; dt must divide dt_noise."""
-    m = round(dt_noise / dt)
-    if m < 1 or abs(m * dt - dt_noise) > 1e-9 * dt_noise:
+    m = grid_steps(dt_noise, dt, "dt must divide dt_noise")
+    if m < 1:
         raise ValueError(f"dt={dt} must divide dt_noise={dt_noise}")
     return m
 
@@ -492,10 +500,9 @@ def temperedness_series(ctx: OperatorContext, setup: ForcingSetup, horizon: floa
     """
     path = setup.path
     h = path.dt_noise
-    per = round(sample_dt / h)
-    if per <= 0 or abs(per * h - sample_dt) > 1e-9:
+    if grid_steps(sample_dt, h, "sample_dt") <= 0:
         raise ValueError("sample_dt must be a positive multiple of dt_noise")
-    n = int(round(horizon / sample_dt))
+    n = grid_steps(horizon, sample_dt, "horizon")
     if n < 2:
         raise ValueError("horizon too short")
     times = np.empty(n)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .forcing import ForcingSetup, check_byte_count, lift_at_step, steps_per_noise
+from .forcing import ForcingSetup, check_byte_count, grid_steps, lift_at_step, steps_per_noise
 from .operators import (
     Norms,
     OperatorContext,
@@ -293,9 +293,7 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     when a run is split into legs.
     """
     _keep_step_memory()
-    n0 = round(t0 / dt)
-    if abs(n0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"t0={t0} is not on the step grid")
+    n0 = grid_steps(t0, dt, "t0")
     lift = lift_at_step(forcing, n0, dt)  # also checks dt and that the path covers t0
     u0 = np.asarray(u0, dtype=complex)
     if mean_defect(u0, ctx.zw) > 1e-14:
@@ -326,9 +324,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
         raise ValueError("t0 must precede t1")
     state = initial_state(ctx, forcing, u0, t0, dt)
     del u0  # the state holds its own copy
-    n_steps = round((t1 - t0) / dt)
-    if abs((t0 + n_steps * dt) - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError("t1 - t0 must be a multiple of dt")
+    n_steps = grid_steps(t1, dt, "t1") - state.n
 
     snapshots = []
     if snapshot_sink is None:

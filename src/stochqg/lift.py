@@ -60,7 +60,8 @@ def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
 
 
 def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:
-    """Unit-L2(top face) coefficients of a real boundary mode."""
+    """Unit-L2(top face) coefficients of a real boundary mode (|l| < ny/2, 0 <= k < nx/2)."""
+    grid.check_column(mode.l, mode.k)
     coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
     c = unit_mode_coef(mode.kind)
     li = mode.l % grid.ny
@@ -94,13 +95,11 @@ def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> np.ndar
     if nonzero.size == 0:
         return out
 
-    kx = grid.kx
-    ky = grid.ky
+    kh2_cols = grid.kh2
     scale = vop.f_top  # variational boundary term of (A_z + kh2*W) u = F_top*g*e_top
     groups: dict[float, list[tuple[int, int]]] = {}
     for li, ki in nonzero:
-        kh2 = float(ky[li] ** 2 + kx[ki] ** 2)
-        groups.setdefault(kh2, []).append((int(li), int(ki)))
+        groups.setdefault(float(kh2_cols[li, ki]), []).append((int(li), int(ki)))
 
     for kh2, cols in groups.items():
         ab = _banded(vop, kh2)
@@ -119,7 +118,7 @@ def precompute_mode_lifts(grid: Grid, vop: VerticalOperator, n_modes: int) -> li
 
 def lift_interior_residual(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> float:
     """Relative interior residual of (F u')' - (k^2+l^2) u = 0, max over columns."""
-    kh2 = grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2
+    kh2 = grid.kh2
     res = (vop.action @ coef.reshape(vop.nz, -1)).reshape(coef.shape)
     res = res + kh2[None, :, :] * coef
     worst = 0.0
@@ -138,6 +137,5 @@ def recovered_top_flux(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> n
     Rearranges the variational top row; equals the imposed flux to the
     stencil's order.
     """
-    kh2 = grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2
     one_sided = -vop.stiff_off[-1] * (coef[-1] - coef[-2])
-    return (one_sided + vop.weights[-1] * kh2 * coef[-1]) / vop.f_top
+    return (one_sided + vop.weights[-1] * grid.kh2 * coef[-1]) / vop.f_top

@@ -108,7 +108,7 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
 
     kx = grid.kx
     ky = grid.ky
-    kh2 = ky[:, None] ** 2 + kx[None, :] ** 2
+    kh2 = grid.kh2
     lam = vop.mu[:, None, None] + kh2[None, :, :]
     inv_lam = np.zeros_like(lam)
     nonzero = lam > 0.0
@@ -379,10 +379,7 @@ def unit_eigenmode(ctx: OperatorContext, m: int, l: int, k: int, kind: str = "co
     grid = ctx.grid
     if not 0 <= m < grid.nz:
         raise ValueError(f"m out of range [0, nz = {grid.nz})")
-    if 2 * abs(l) >= grid.ny:
-        raise ValueError(f"l out of range (|l| < ny/2 = {grid.ny // 2}, Nyquist excluded)")
-    if k < 0 or k >= grid.nkx - 1:
-        raise ValueError("k out of range (Nyquist excluded)")
+    grid.check_column(l, k)
     if (m, l, k) == (0, 0, 0):
         raise ValueError("(0, 0, 0) is the excluded null mode")
     if kind not in ("cos", "sin"):

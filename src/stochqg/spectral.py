@@ -58,6 +58,14 @@ class StratificationProfile:
         return self.n_of_z.size
 
 
+def level_quadrature(nz: int) -> tuple[float, np.ndarray]:
+    """Spacing dz = 2pi/(nz-1) of nz endpoint-inclusive levels, and their trapezoid weights."""
+    dz = TWO_PI / (nz - 1)
+    w = np.full(nz, dz)
+    w[0] = w[-1] = 0.5 * dz
+    return dz, w
+
+
 def make_profile(f0: float, n_of_z, nz: int) -> StratificationProfile:
     """Build a profile from a constant N or a per-level table."""
     if np.isscalar(n_of_z):
@@ -96,7 +104,7 @@ class Grid:
 
     @property
     def dz(self) -> float:
-        return TWO_PI / (self.nz - 1)
+        return level_quadrature(self.nz)[0]
 
     @property
     def x(self) -> np.ndarray:
@@ -121,6 +129,11 @@ class Grid:
         return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
 
     @property
+    def kh2(self) -> np.ndarray:
+        """k^2 + l^2 of every stored column, shape (ny, nkx)."""
+        return self.ky[:, None] ** 2 + self.kx[None, :] ** 2
+
+    @property
     def kmax(self) -> tuple[int, int]:
         """Largest |kx|, |ky| inside the dealias band."""
         return tuple((n - 1) // 3 for n in (self.nx, self.ny))
@@ -129,6 +142,13 @@ class Grid:
     def dealias_mask(self) -> np.ndarray:
         kmax_x, kmax_y = self.kmax
         return (np.abs(self.ky)[:, None] <= kmax_y) & (self.kx[None, :] <= kmax_x)
+
+    def check_column(self, l: int, k: int) -> None:
+        """Raise unless (l, k) is a stored, non-Nyquist column: |l| < ny/2, 0 <= k < nx/2."""
+        if 2 * abs(l) >= self.ny:
+            raise ValueError(f"l out of range (|l| < ny/2 = {self.ny // 2}, Nyquist excluded)")
+        if not 0 <= k < self.nkx - 1:
+            raise ValueError(f"k out of range (0 <= k < nx/2 = {self.nx // 2}, Nyquist excluded)")
 
     def half_plane(self) -> list[tuple[int, int]]:
         """(k, l) of the dealias band with k > 0, or k == 0 and l >= 0.
@@ -150,10 +170,7 @@ class Grid:
     @property
     def zweights(self) -> np.ndarray:
         """Trapezoid quadrature weights on the levels (sum = 2pi)."""
-        w = np.full(self.nz, self.dz)
-        w[0] = 0.5 * self.dz
-        w[-1] = 0.5 * self.dz
-        return w
+        return level_quadrature(self.nz)[1]
 
 
 @dataclass(frozen=True)
@@ -203,9 +220,7 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
     if np.any(F <= 0.0) or not np.all(np.isfinite(F)):
         raise ValueError("F(z) must be positive and finite")
 
-    dz = TWO_PI / (nz - 1)
-    w = np.full(nz, dz)
-    w[0] = w[-1] = 0.5 * dz
+    dz, w = level_quadrature(nz)
     fh = 0.5 * (F[:-1] + F[1:])        # F at half levels
 
     # Stiffness matrix A_z (tridiagonal, rows sum to zero exactly).

@@ -97,10 +97,47 @@ class TestParseConfig:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_reported_with_other_violations(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"time.t1 = {value}\nphysics.nu = 0\n")
+        assert f"time.t1: '{value}' is not finite" in err.value.violations
+        assert any("viscosity must be positive" in v for v in err.value.violations)
+
     def test_hash_changes_with_content(self):
         a = parse_config("grid.nx = 16\n")
         b = parse_config("grid.nx = 32\n")
         assert config_hash(a) != config_hash(b)
+
+
+class TestSchema:
+    """Each key is declared once, on its SimConfig field."""
+
+    def test_each_field_has_one_key(self):
+        keys = [f.metadata["key"] for f in dataclasses.fields(SimConfig)]
+        assert all(isinstance(k, str) and k for k in keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_default_hash_is_pinned(self):
+        assert config_hash(SimConfig()) == "2348d501d00ab9f0"
+
+    def test_readme_block_is_the_defaults_in_order(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Configuration\n", 1)[1].split("```")[1]
+        assert parse_config(block) == SimConfig()
+        keys = [ln.split("#", 1)[0].split("=", 1)[0].strip() for ln in block.splitlines()
+                if ln.strip()]
+        assert keys == [ln.split(" = ", 1)[0]
+                        for ln in normalize_config(SimConfig()).splitlines()]
+
+
+def _cli_subprocess(*args):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "stochqg.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestBuildRuntime:
@@ -220,18 +257,49 @@ class TestCLI:
                                        "init.l=-16"])
     def test_out_of_band_eigenmode_exit_one(self, tmp_path, index):
         # Out of band at the default 32x32x17 grid (0 <= m < 17, |l| < 16).
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-m", "stochqg.cli", "simulate",
-                              "--set", f"output.dir={tmp_path}", "--set", "init.kind=eigenmode",
-                              "--set", index], env=env, capture_output=True, text=True,
-                             timeout=300)
+        out = _cli_subprocess("simulate", "--set", f"output.dir={tmp_path}",
+                              "--set", "init.kind=eigenmode", "--set", index)
         assert "Traceback" not in out.stderr
         assert out.returncode == 1
         record = json.loads(out.stderr.strip().splitlines()[-1])
         assert record["error"] == "invalid-request"
         assert f"{index[5]} out of range" in record["message"]
+
+    @pytest.mark.parametrize("index", ["periodic.mode_k=40", "periodic.mode_k=16",
+                                       "periodic.mode_k=-1", "periodic.mode_l=16",
+                                       "periodic.mode_l=-16"])
+    def test_out_of_band_periodic_mode_exit_one(self, tmp_path, index):
+        # Beyond the stored columns the flux could not be written; on a Nyquist line
+        # (k = nx/2, |l| = ny/2) or at k = -1 it was written there and had no effect.
+        out = _cli_subprocess("simulate", "--set", f"output.dir={tmp_path}", *FAST,
+                              "--set", "periodic.amplitude=1", "--set", index)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 1
+        record = json.loads(out.stderr.strip().splitlines()[-1])
+        assert record["error"] == "setup"
+        assert f"{index[14]} out of range" in record["message"]
+
+    @pytest.mark.parametrize("command, key", [("simulate", "time.t1"),
+                                              ("simulate", "noise.t_max"),
+                                              ("cocycle-check", "cocycle.s")])
+    def test_non_finite_time_exit_one(self, tmp_path, capsys, command, key):
+        rc = main([command, "--set", f"output.dir={tmp_path}", "--set", f"{key}=inf"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert f"{key}: 'inf' is not finite" in record["message"]
+
+    def test_gen_noise_rejects_off_grid_window_when_extending(self, tmp_path, capsys):
+        # Extending rounded t_min = -8.03 to -8.0, where creating a file rejected it.
+        target = tmp_path / "noise.bin"
+        base = ["gen-noise", "--set", f"output.dir={tmp_path}", "--set", "noise.t_max=4"]
+        assert main(base + ["--set", f"noise.file={target}", "--set", "noise.t_min=-4"]) == 0
+        for fname in (target, tmp_path / "fresh.bin"):
+            capsys.readouterr()
+            assert main(base + ["--set", f"noise.file={fname}", "--set", "noise.t_min=-8.03"]) == 1
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert "t_min: -8.03 is not a multiple of the grid step 0.0625" in record["message"]
+        assert load_noise_path(target).t_min == -4.0
 
     def test_truncated_noise_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "noise.bin"

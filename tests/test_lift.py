@@ -5,6 +5,7 @@ import pytest
 
 from stochqg.lift import (
     BoundaryFlux,
+    BoundaryMode,
     boundary_modes,
     lift_interior_residual,
     mode_flux,
@@ -127,6 +128,12 @@ class TestBoundaryModes:
             assert abs(face_sq - 1.0) < 1e-12
             phys = inverse_transform(grid, f3)
             assert np.max(np.abs(phys.imag if np.iscomplexobj(phys) else 0.0)) == 0.0
+
+    @pytest.mark.parametrize("k, l", [(16, 0), (-1, 0), (40, 0), (1, 16), (1, -16)])
+    def test_mode_flux_rejects_out_of_band(self, grid, k, l):
+        # The Nyquist column and row would drop the flux silently; beyond them it would not index.
+        with pytest.raises(ValueError, match="out of range"):
+            mode_flux(grid, BoundaryMode(k * k + l * l, k, l, 0))
 
     def test_too_many_modes(self, grid):
         with pytest.raises(ValueError):

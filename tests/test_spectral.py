@@ -13,6 +13,7 @@ from stochqg.spectral import (
     forward_transform,
     hermitian_defect,
     inverse_transform,
+    level_quadrature,
     make_profile,
     project_mean_zero,
 )
@@ -221,6 +222,27 @@ class TestGrid:
 
     def test_zweights_sum(self, grid):
         assert abs(grid.zweights.sum() - 2 * np.pi) < 1e-14
+
+    @pytest.mark.parametrize("nz", [9, 17, 33, 65])
+    def test_one_level_quadrature(self, nz):
+        # The grid and the vertical operator read one spacing and one set of weights.
+        dz, w = level_quadrature(nz)
+        assert dz == 2 * np.pi / (nz - 1)
+        assert w[0] == w[-1] == 0.5 * dz and np.all(w[1:-1] == dz)
+        grid = Grid(nx=8, ny=8, nz=nz)
+        vop = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
+        assert grid.dz == vop.dz == dz
+        assert np.array_equal(grid.zweights, w) and np.array_equal(vop.weights, w)
+
+    def test_kh2(self, grid, ctx):
+        assert np.array_equal(grid.kh2, grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2)
+        assert np.array_equal(ctx.kh2, grid.kh2)
+
+    @pytest.mark.parametrize("l, k", [(16, 1), (-16, 1), (0, 16), (0, -1), (0, 40)])
+    def test_check_column_rejects_out_of_band(self, grid, l, k):
+        with pytest.raises(ValueError, match="out of range"):
+            grid.check_column(l, k)
+        grid.check_column(15 if l else 0, 15 if k else 0)  # the band's edge is in
 
 
 class TestMeanZero:

@@ -38,6 +38,7 @@ from .config import (
 )
 from .forcing import (
     ForcingSetup,
+    NoisePath,
     PeriodicFlux,
     build_forcing,
     extend_noise_path,
@@ -68,6 +69,14 @@ class Runtime:
     chash: str
 
 
+def _check_noise_file(path: NoisePath, cfg: SimConfig) -> None:
+    """Raise ConfigError unless a loaded noise path has the config's modes and dt_noise."""
+    if path.n_modes != cfg.n_modes:
+        raise ConfigError([f"noise file has {path.n_modes} modes, config wants {cfg.n_modes}"])
+    if abs(path.dt_noise - cfg.dt_noise) > 1e-12:
+        raise ConfigError([f"noise file dt_noise={path.dt_noise} != config {cfg.dt_noise}"])
+
+
 def build_runtime(cfg: SimConfig) -> Runtime:
     grid = Grid(nx=cfg.nx, ny=cfg.ny, nz=cfg.nz)
     table = n_table(cfg)
@@ -77,10 +86,7 @@ def build_runtime(cfg: SimConfig) -> Runtime:
 
     if cfg.noise_file:
         path = load_noise_path(cfg.noise_file)
-        if path.n_modes != cfg.n_modes:
-            raise ConfigError([f"noise file has {path.n_modes} modes, config wants {cfg.n_modes}"])
-        if abs(path.dt_noise - cfg.dt_noise) > 1e-12:
-            raise ConfigError([f"noise file dt_noise={path.dt_noise} != config {cfg.dt_noise}"])
+        _check_noise_file(path, cfg)
     else:
         path = make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise,
                                cfg.noise_t_min, cfg.noise_t_max)
@@ -247,7 +253,9 @@ def cmd_gen_noise(cfg: SimConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = Path(cfg.noise_file) if cfg.noise_file else out / "noise.bin"
     if target.exists():
-        path = extend_noise_path(load_noise_path(target), cfg.noise_t_min, cfg.noise_t_max)
+        path = load_noise_path(target)
+        _check_noise_file(path, cfg)
+        path = extend_noise_path(path, cfg.noise_t_min, cfg.noise_t_max)
         action = "extended"
     else:
         path = make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise,

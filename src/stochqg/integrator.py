@@ -14,7 +14,8 @@ Time is tracked as an integer step count (t = n*dt, never accumulated) and
 the forcing at step n is one function of (path, n, dt),
 ``forcing.lift_at_step``, whose OU part changes only on the noise grid, so
 runs over aligned grids are bitwise reproducible and the solution operator is
-a genuine cocycle over the stored noise path.  A state is (u, n, dt, xi):
+a genuine cocycle over the stored noise path.  A state is (u, n, dt, xi)
+with the context and forcing it was made with, and is stepped under them:
 it carries no OU state of its own.  Alongside u, the scalar comparison process
 
     xi' + nu lam1 xi = (beta^2/nu) ||lift_x||_{V'}^2
@@ -34,12 +35,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .forcing import ForcingSetup, check_byte_count, grid_steps, lift_at_step, steps_per_noise
+from .forcing import ForcingSetup, check_byte_count, grid_steps, lift_at_step
 from .operators import (
     Norms,
     OperatorContext,
@@ -94,21 +95,22 @@ class BlowupError(RuntimeError):
 class SimState:
     """Flow state: transformed potential vorticity u, step count, step size, xi.
 
-    A state made under a context and forcing (``ctx``, ``forcing``) computes
-    the values that its step and the run's diagnostics share on first use
-    and keeps them: ``modes``, ``lift`` (on ``forcing.support``),
-    ``vdual_liftx`` (the xi source), ``h2``, ``norms``, ``budget_terms`` and
-    ``efac`` for its dt.
-    ``dataclasses.replace`` makes a state that computes them afresh.  ``u``
-    is a value: modify a copy, not the array in place.
+    A state is stepped under the context and forcing it was made with
+    (``ctx``, ``forcing``).  It computes the values that its step and the
+    run's diagnostics share on first use and keeps them: ``modes``, ``lift``
+    (on ``forcing.support``), ``vdual_liftx`` (the xi source), ``h2``,
+    ``norms``, ``budget_terms`` and ``efac`` for its dt.
+    ``dataclasses.replace`` makes a state that computes them afresh, also
+    one under another context, forcing or xi.  ``u`` is a value: modify a
+    copy, not the array in place.
     """
 
     u: np.ndarray
     n: int
     dt: float
     xi: float
-    ctx: OperatorContext | None = field(default=None, compare=False, repr=False)
-    forcing: ForcingSetup | None = field(default=None, compare=False, repr=False)
+    ctx: OperatorContext = field(compare=False, repr=False)
+    forcing: ForcingSetup = field(compare=False, repr=False)
 
     @property
     def t(self) -> float:
@@ -215,9 +217,8 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     return _xi_update(xi, lift_terms(ctx, *nonzero_columns(lift))[0], dt, ctx)
 
 
-def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup,
-         linear_only: bool = False) -> SimState:
-    """One IMEX step from t = n*dt to (n+1)*dt.
+def step(state: SimState, linear_only: bool = False) -> SimState:
+    """One IMEX step from t = n*dt to (n+1)*dt under the state's dt, ctx and forcing.
 
     Predictor/corrector on the integrating-factor-transformed system:
         c_p = E (c0 + dt N0),   c1 = E c0 + dt/2 (E N0 + N1(u_p, t1)),
@@ -225,10 +226,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     holds the OU part at the step's start, matching the sample-hold
     convention; the new state's lift takes the gridpoint it ends on.
     """
-    if dt != state.dt:
-        raise ValueError("step size differs from the state's clock")
-    if state.ctx is not ctx or state.forcing is not forcing:
-        state = replace(state, ctx=ctx, forcing=forcing)
+    dt, ctx, forcing = state.dt, state.ctx, state.forcing
     n1 = state.n + 1
     efac = state.efac
     c0 = state.modes
@@ -253,8 +251,7 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     # The stochastic coefficients are held over the whole step (the corrector
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
-    # quadrature exactly consistent with the sample-held forcing.  A step
-    # that crosses no noise gridpoint ends with this same lift.
+    # quadrature exactly consistent with the sample-held forcing.
     lift1 = lift_at_step(forcing, n1, dt, held=state.n)
     psi[:, li, ki] += lift1
     r1, _ = _rhs(ctx, u_pred, psi, linear_only)
@@ -277,14 +274,11 @@ def step(state: SimState, dt: float, ctx: OperatorContext, forcing: ForcingSetup
     new = SimState(u=u1, n=n1, dt=dt, xi=xi1, ctx=ctx, forcing=forcing)
     # Seed the cache: cached_property returns what the instance __dict__ holds.
     new.__dict__.update(efac=efac, h2=h2)
-    m = steps_per_noise(dt, forcing.path.dt_noise)
-    if n1 // m == state.n // m:
-        new.__dict__["lift"] = lift1
     return new
 
 
 def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
-                  t0: float, dt: float, xi0: float | None = None) -> SimState:
+                  t0: float, dt: float) -> SimState:
     """SimState at t0; its lift holds the OU state of the last noise gridpoint <= t0.
 
     The mean-zero projection is applied only when the input actually has a
@@ -301,8 +295,7 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     else:
         u0 = u0.copy()
     h2 = inner_h(ctx, u0, u0)
-    state = SimState(u=u0, n=n0, dt=dt, xi=float(h2 if xi0 is None else xi0),
-                     ctx=ctx, forcing=forcing)
+    state = SimState(u=u0, n=n0, dt=dt, xi=float(h2), ctx=ctx, forcing=forcing)
     state.__dict__.update(h2=h2, lift=lift)  # seeds the cached_properties, as in step
     return state
 
@@ -337,7 +330,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     terms = state.budget_terms if record_diagnostics else None
     for k in range(n_steps):
         t_prev = state.t
-        state = step(state, dt, ctx, forcing, linear_only=linear_only)
+        state = step(state, linear_only=linear_only)
         if record_diagnostics:
             record, terms = _record(ctx, state, t_prev, terms)
             diagnostics.append(record)

@@ -126,7 +126,7 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     zero_forcing = replace(forcing, support=(no_columns, no_columns),
                            basis=forcing.basis[:, :, :0])
     st = initial_state(ctx, zero_forcing, u0, path.t_min, dt)
-    st1 = step(st, dt, ctx, zero_forcing, linear_only=True)
+    st1 = step(st, linear_only=True)
     decay_err = np.max(np.abs(st1.u - np.exp(-ctx.nu * lam * dt) * u0))
     check("eigenmode integrating-factor decay", decay_err < 1e-12, f"err={decay_err:.2e}")
 

@@ -269,7 +269,7 @@ def test_criterion_5_integrator(desk):
     lam = eigenvalue_of(ctx0, 1, 2, 1)
     st = initial_state(ctx0, f0, u0, 0.0, h)
     for k in range(16):
-        st = step(st, h, ctx0, f0)
+        st = step(st)
     decay_rel = np.max(np.abs(st.u - np.exp(-0.5 * lam * st.t) * u0)) / np.exp(-0.5 * lam * st.t)
     if decay_rel > 1e-12:
         failures.append(f"eigenmode decay rel err {decay_rel:.2e}")

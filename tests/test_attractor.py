@@ -34,8 +34,9 @@ from stochqg.forcing import (
     make_noise_path,
     setup_lift,
     shift_path,
+    steps_per_noise,
 )
-from stochqg.integrator import simulate, xi_step, steps_per_noise
+from stochqg.integrator import simulate, xi_step
 from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
 from stochqg.operators import (build_context, deriv_x, inner_h, lift_terms, nonzero_columns,
                                norm_h, norms, unit_eigenmode)

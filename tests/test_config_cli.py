@@ -301,6 +301,25 @@ class TestCLI:
             assert "t_min: -8.03 is not a multiple of the grid step 0.0625" in record["message"]
         assert load_noise_path(target).t_min == -4.0
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("noise.n_modes", "3", "noise file has 8 modes, config wants 3"),
+        ("noise.dt_noise", "0.125", "noise file dt_noise=0.0625 != config 0.125")],
+        ids=["n_modes", "dt_noise"])
+    def test_gen_noise_extend_checks_file_against_config(self, tmp_path, capsys,
+                                                         key, value, message):
+        # Extending keeps the file's modes and dt_noise, so a config that
+        # disagrees with them fails as it does for simulate.
+        target = tmp_path / "noise.bin"
+        base = ["gen-noise", "--set", f"output.dir={tmp_path}", "--set", "noise.t_max=4"]
+        assert main(base + ["--set", "noise.t_min=-4"]) == 0
+        before = target.read_bytes()
+        capsys.readouterr()
+        assert main(base + ["--set", "noise.t_min=-8", "--set", f"{key}={value}"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert message in record["message"]
+        assert target.read_bytes() == before
+
     def test_truncated_noise_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "noise.bin"
         assert main(["gen-noise", "--set", f"output.dir={tmp_path}",

@@ -77,7 +77,7 @@ class TestStep:
         lam = eigenvalue_of(ctx0, 1, 2, 1)
         st = initial_state(ctx0, setup, u0, 0.0, H)
         for k in range(10):
-            st = step(st, H, ctx0, setup)
+            st = step(st)
             expect = np.exp(-0.5 * lam * (k + 1) * H) * u0
             assert np.max(np.abs(st.u - expect)) < 1e-12 * np.max(np.abs(expect))
 
@@ -85,7 +85,7 @@ class TestStep:
         setup = forcing_for(grid, vop)
         st = initial_state(ctx, setup, np.zeros((grid.nz, grid.ny, grid.nkx), complex), 0.0, H)
         for _ in range(5):
-            st = step(st, H, ctx, setup)
+            st = step(st)
         assert np.all(st.u == 0.0)
         assert st.xi == 0.0
 
@@ -117,15 +117,15 @@ class TestStep:
         u0 = 50.0 * unit_eigenmode(ctx, 0, 1, 1)
         st = initial_state(ctx, setup, u0, 0.0, H)
         with pytest.raises(CFLViolation) as err:
-            step(st, H, ctx, setup)
+            step(st)
         assert err.value.suggested_dt < H
 
     def test_blowup_guard(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
         u0 = 1e-2 * unit_eigenmode(ctx, 0, 1, 1)
-        st = initial_state(ctx, setup, u0, 0.0, H, xi0=1e-12)
+        st = dataclasses.replace(initial_state(ctx, setup, u0, 0.0, H), xi=1e-12)
         with pytest.raises(BlowupError):
-            step(st, H, ctx, setup)
+            step(st)
 
     def test_dt_must_divide_noise_step(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
@@ -181,7 +181,7 @@ class TestStepReport:
         states, lifts = [], []
         xi = inner_h(ctx, res.snapshots[0][1], res.snapshots[0][1])
         for n, (_, u) in enumerate(res.snapshots):
-            states.append(SimState(u=u, n=n, dt=H, xi=xi))
+            states.append(SimState(u=u, n=n, dt=H, xi=xi, ctx=ctx, forcing=setup))
             lifts.append(setup_lift(setup, init_ou_state(setup.model, setup.path, n * H),
                                     step_index=n, dt=H))
             xi = xi_step(xi, lifts[-1], H, ctx)
@@ -196,20 +196,28 @@ class TestStepReport:
         assert len(rebuilt) == 16
         assert rebuilt == res.diagnostics
 
+    def test_state_needs_context_and_forcing(self, ctx, grid, vop):
+        # A state is stepped under the setup it carries, so it cannot be made without one.
+        u = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
+        with pytest.raises(TypeError):
+            SimState(u=u, n=0, dt=H, xi=0.0)
+        with pytest.raises(TypeError):
+            SimState(u=u, n=0, dt=H, xi=0.0, ctx=ctx)
+
     def test_steps_without_reports_match_simulate(self, ctx, grid, vop):
         setup, u0 = self._setup(ctx, grid, vop)
         res = simulate(ctx, setup, u0, 0.0, 1.0, H)
         st = initial_state(ctx, setup, u0, 0.0, H)
         xis = []
         for _ in range(16):
-            st = step(dataclasses.replace(st), H, ctx, setup)
+            st = step(dataclasses.replace(st))
             xis.append(st.xi)
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
 
-    def test_lift_reused_between_noise_gridpoints(self, ctx, grid, vop, monkeypatch):
-        # At dt = dt_noise/4 only one step in four crosses a noise gridpoint;
-        # the others end with the corrector's lift and do not rebuild it.
+    def test_steps_between_noise_gridpoints_match_simulate(self, ctx, grid, vop, monkeypatch):
+        # At dt = dt_noise/4 each state builds its own lift on first use and
+        # each step builds the corrector's, as at dt = dt_noise.
         setup, u0 = self._setup(ctx, grid, vop)
         dt = H / 4
         calls = []
@@ -221,46 +229,22 @@ class TestStepReport:
         monkeypatch.setattr(forcing, "lift_columns", counted)
         res = simulate(ctx, setup, u0, 0.0, 8 * dt, dt)
         monkeypatch.undo()
-        assert len(calls) == 1 + 8 * 1.25  # the initial state's lift, then 1.25 per step
+        assert len(calls) == 1 + 8 * 2  # the initial state's lift, then 2 per step
         st = initial_state(ctx, setup, u0, 0.0, dt)
         xis = []
         for _ in range(8):
-            st = step(dataclasses.replace(st), dt, ctx, setup)
+            st = step(dataclasses.replace(st))
             xis.append(st.xi)
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
 
-    def test_equal_dt_object_reuses_report(self, ctx, grid, vop, monkeypatch):
-        # A dt equal to the report's but held in another float object, as a
-        # computed T / n would be, must not rebuild the report every step.
-        setup, u0 = self._setup(ctx, grid, vop)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["step_index"])
-            return lift_columns(*args, **kwargs)
-
-        monkeypatch.setattr(forcing, "lift_columns", counted)
-        assert float(str(H)) == H and float(str(H)) is not H
-        runs = []
-        for make_dt in (lambda: H, lambda: float(str(H))):
-            del calls[:]
-            st = initial_state(ctx, setup, u0, 0.0, H)
-            for _ in range(8):
-                st = step(st, make_dt(), ctx, setup)
-            runs.append((len(calls), st))
-        (n_same, st_same), (n_equal, st_equal) = runs
-        assert n_equal == n_same
-        assert np.array_equal(st_equal.u, st_same.u)
-        assert st_equal.xi == st_same.xi
-
     def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
         # The report made for the old u must not be used for the new one.
         setup, u0 = self._setup(ctx, grid, vop)
-        st = step(initial_state(ctx, setup, u0, 0.0, H), H, ctx, setup)
+        st = step(initial_state(ctx, setup, u0, 0.0, H))
         other = 0.1 * random_field(ctx, np.random.default_rng(49), decay=2.0)
-        edited = step(dataclasses.replace(st, u=other), H, ctx, setup)
-        fresh = step(initial_state(ctx, setup, other, st.t, H, xi0=st.xi), H, ctx, setup)
+        edited = step(dataclasses.replace(st, u=other))
+        fresh = step(dataclasses.replace(initial_state(ctx, setup, other, st.t, H), xi=st.xi))
         assert np.array_equal(edited.u, fresh.u)
         assert edited.xi == fresh.xi
 
@@ -276,14 +260,15 @@ class TestStepReport:
             setup_b = forcing_for(grid, vop, q0=0.05, amp=0.5, phase=0.4, seed=11)
         else:
             ctx_b = build_context(grid, vop, nu=2.0 * ctx.nu, beta=ctx.beta)
-        st = step(initial_state(ctx, setup_a, u0, 0.0, H), H, ctx, setup_a)
+        st = step(initial_state(ctx, setup_a, u0, 0.0, H))
         _ = st.vdual_liftx, st.modes  # fills A's cache
         assert {"efac", "lift", "modes", "vdual_liftx"} <= set(vars(st))
-        moved = step(st, H, ctx_b, setup_b)
-        fresh = step(initial_state(ctx_b, setup_b, st.u, st.t, H, xi0=st.xi), H, ctx_b, setup_b)
+        moved = step(dataclasses.replace(st, ctx=ctx_b, forcing=setup_b))
+        fresh = step(dataclasses.replace(initial_state(ctx_b, setup_b, st.u, st.t, H),
+                                         xi=st.xi))
         assert np.array_equal(moved.u, fresh.u)
         assert moved.xi == fresh.xi
-        stayed = step(st, H, ctx, setup_a)
+        stayed = step(st)
         assert not np.array_equal(moved.u, stayed.u)
 
     def test_final_state_values_not_built_without_diagnostics(self, ctx, grid, vop,
@@ -382,7 +367,7 @@ class TestEnergyBudget:
         setup = forcing_for(grid, vop)
         z = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
         s0 = initial_state(ctx, setup, z, 0.0, H)
-        s1 = step(s0, H, ctx, setup)
+        s1 = step(s0)
         assert energy_budget(ctx, s0, s1, z, z) == 0.0
 
     def test_accumulated_residual_second_order(self, ctx, grid, vop):

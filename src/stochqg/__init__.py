@@ -48,6 +48,7 @@ from .forcing import (  # noqa: F401
     shift_path,
 )
 from .integrator import (  # noqa: F401
+    Run,
     SimState,
     energy_budget,
     reconstruct_streamfunction,

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import (ForcingSetup, ensemble_stream, grid_steps, lift_at_step, shift_path,
-                      steps_per_noise, tail_slope)
-from .integrator import simulate
+from .forcing import (ForcingSetup, ensemble_stream, grid_steps, shift_path, steps_per_noise,
+                      tail_slope)
+from .integrator import Run, simulate
 from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
 
 
@@ -124,10 +124,11 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
     n_at = grid_steps(at, dt, "quadrature endpoint")
 
     # Each step's lift is the one the stepper uses, so xi* sees its source;
-    # ``lift_at_step`` rejects a step the path does not cover.
+    # ``Run.lift`` rejects a step the path does not cover.
+    run = Run(ctx, forcing, dt)
     src = np.empty(n + 1)
     for k in range(n + 1):
-        vdual = lift_terms(ctx, forcing.support, lift_at_step(forcing, n_at - n + k, dt))[0]
+        vdual = lift_terms(ctx, forcing.support, run.lift(n_at - n + k))[0]
         src[k] = (ctx.beta ** 2 / ctx.nu) * vdual ** 2
     tau = dt * np.arange(-n, 1)
     w = np.exp(rate * tau)

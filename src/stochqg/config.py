@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .forcing import steps_per_noise
+from .forcing import grid_steps, steps_per_noise
 
 
 class ConfigError(ValueError):
@@ -170,6 +170,14 @@ def validate_config(cfg: SimConfig) -> list[str]:
         errs.append("periodic.phase must lie in [0, 1)")
     if cfg.t0 >= cfg.t1:
         errs.append("time.t0 must precede time.t1")
+    for key, val in (("cocycle.s", cfg.cocycle_s), ("cocycle.t", cfg.cocycle_t)):
+        if val < 0:
+            errs.append(f"{key} must be nonnegative")
+        elif cfg.dt > 0:
+            try:
+                grid_steps(val, cfg.dt, key)
+            except ValueError as exc:
+                errs.append(str(exc))
     if cfg.snapshot_every < 0:
         errs.append("time.snapshot_every must be nonnegative")
     if cfg.seed < 0 or cfg.seed >= (1 << 63):

@@ -21,8 +21,8 @@ function of the path: the stationary draw is anchored at the path's first
 gridpoint and recursed forward, which is what makes the solution operator a
 genuine cocycle over the stored path.  The recursion runs once per path:
 the OU states at all of its gridpoints are kept with the path (shifted
-copies share them), and ``lift_at_step`` reads the lift of any step of a
-run from them.
+copies share them), and a run's ``integrator.Run.lift`` reads the lift of
+any of its steps from them.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ class PeriodicFlux:
     def __post_init__(self):
         if self.u0.coef[0, 0] != 0.0:
             raise ValueError("periodic flux amplitude must be mean-zero")
-
-    period = 1.0
 
 
 @dataclass(frozen=True)
@@ -267,13 +265,8 @@ class OUBoundaryState:
     j: int
     dt_noise: float
 
-    @property
-    def t(self) -> float:
-        """Time on the absolute clock of the generating path."""
-        return self.j * self.dt_noise
 
-
-def _ou_series(model: NoiseModel, path: NoisePath, init: str = "stationary") -> np.ndarray:
+def ou_series(model: NoiseModel, path: NoisePath, init: str = "stationary") -> np.ndarray:
     """(n_steps + 1, n_modes) OU states at every gridpoint of the path, read-only.
 
     The recursion runs once per path and init mode, one ``advance_ou`` per
@@ -310,7 +303,7 @@ def init_ou_state(model: NoiseModel, path: NoisePath, t: float, init: str = "sta
     start (cross-validation mode; agrees in law once t - t_min >> tau_c).
     The returned ``zeta`` is the caller's own copy.
     """
-    series = _ou_series(model, path, init)
+    series = ou_series(model, path, init)
     j = path.abs_step(t)
     return OUBoundaryState(zeta=series[j - path.i0_abs].copy(), j=j, dt_noise=path.dt_noise)
 
@@ -416,24 +409,6 @@ def steps_per_noise(dt: float, dt_noise: float) -> int:
     return m
 
 
-def lift_at_step(setup: ForcingSetup, n: int, dt: float, held: int | None = None) -> np.ndarray:
-    """The lift at local step n of a run with step dt, on ``setup.support``.
-
-    The OU part is sample-held at the last noise gridpoint at or before step
-    ``held`` (default n); the periodic part is at step n on the absolute
-    clock, so shifted paths give the same lift bitwise.
-    """
-    path = setup.path
-    m = steps_per_noise(dt, path.dt_noise)
-    j = (n if held is None else held) // m + path.local_shift  # floor, also for negative steps
-    if not path.i0_abs <= j <= path.i0_abs + path.n_steps:
-        raise ValueError(f"time {(j - path.local_shift) * path.dt_noise} outside path range "
-                         f"[{path.t_min}, {path.t_max}]")
-    ou = OUBoundaryState(zeta=_ou_series(setup.model, path)[j - path.i0_abs], j=j,
-                         dt_noise=path.dt_noise)
-    return lift_columns(setup, ou, step_index=n + path.local_shift * m, dt=dt)
-
-
 def ensemble_stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-member RNG stream (seed, member-index, ...)."""
     return _stream(seed, _NS_ENSEMBLE, *key)
@@ -453,7 +428,7 @@ def interior_ou_modes(ctx: OperatorContext, model: NoiseModel, path: NoisePath,
     """
     h = path.dt_noise
     j0, j1 = path.abs_step(t0), path.abs_step(t1)
-    series = _ou_series(model, path, init)
+    series = ou_series(model, path, init)
     zw = ctx.zw
     gammas, decays = [], []
     for (i, m) in track:

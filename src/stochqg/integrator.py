@@ -10,13 +10,13 @@ explicit terms collapse to
 
 since f - D = -beta Psi_x and B + C = J(Psi, u).
 
-Time is tracked as an integer step count (t = n*dt, never accumulated) and
-the forcing at step n is one function of (path, n, dt),
-``forcing.lift_at_step``, whose OU part changes only on the noise grid, so
-runs over aligned grids are bitwise reproducible and the solution operator is
-a genuine cocycle over the stored noise path.  A state is (u, n, dt, xi)
-with the context and forcing it was made with, and is stepped under them:
-it carries no OU state of its own.  Alongside u, the scalar comparison process
+Time is tracked as an integer step count (t = n*dt, never accumulated).  A
+trajectory is one ``Run`` (context, forcing, dt), and the forcing at step n
+is one function of it, ``Run.lift``, whose OU part changes only on the noise
+grid, so runs over aligned grids are bitwise reproducible and the solution
+operator is a genuine cocycle over the stored noise path.  A state is
+(u, n, xi, run) and carries no OU state of its own.  Alongside u, the scalar
+comparison process
 
     xi' + nu lam1 xi = (beta^2/nu) ||lift_x||_{V'}^2
 
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .forcing import ForcingSetup, check_byte_count, grid_steps, lift_at_step
+from .forcing import (ForcingSetup, OUBoundaryState, check_byte_count, grid_steps,
+                      lift_columns, ou_series, steps_per_noise)
 from .operators import (
     Norms,
     OperatorContext,
@@ -91,63 +92,95 @@ class BlowupError(RuntimeError):
     """State left the theoretically absorbed region or became non-finite."""
 
 
+@dataclass(frozen=True, eq=False)
+class Run:
+    """One trajectory: steps of ``dt`` under ``ctx`` and ``forcing``.
+
+    Built once per ``simulate`` call or xi* window, it resolves ``m`` (steps
+    per noise step) and ``first``..``last`` (the steps whose lift the noise
+    path covers) once; ``efac`` = e^{-nu lam dt} is made on first use.
+    """
+
+    ctx: OperatorContext
+    forcing: ForcingSetup
+    dt: float
+    m: int = field(init=False)
+    first: int = field(init=False)
+    last: int = field(init=False)
+
+    def __post_init__(self):
+        path = self.forcing.path
+        m = steps_per_noise(self.dt, path.dt_noise)
+        i0 = path.i0_abs - path.local_shift  # the path's first gridpoint on the local clock
+        last = (i0 + path.n_steps + 1) * m - 1  # the last step held at its last gridpoint
+        for name, value in (("m", m), ("first", i0 * m), ("last", last)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def efac(self) -> np.ndarray:
+        return np.exp(-self.ctx.nu * self.ctx.lam * self.dt)
+
+    def lift(self, n: int, held: int | None = None) -> np.ndarray:
+        """The lift at step n on ``forcing.support``: OU part held at the noise gridpoint
+        of step ``held`` (default n), periodic part at step n on the absolute clock."""
+        held, path = n if held is None else held, self.forcing.path
+        if not self.first <= held <= self.last:
+            raise ValueError(f"time {held * self.dt} outside path range "
+                             f"[{path.t_min}, {path.t_max}]")
+        j = held // self.m + path.local_shift  # floor, also for negative steps
+        ou = OUBoundaryState(zeta=ou_series(self.forcing.model, path)[j - path.i0_abs], j=j,
+                             dt_noise=path.dt_noise)
+        return lift_columns(self.forcing, ou, step_index=n + path.local_shift * self.m,
+                            dt=self.dt)
+
+
 @dataclass(frozen=True)
 class SimState:
-    """Flow state: transformed potential vorticity u, step count, step size, xi.
+    """Flow state: potential vorticity u at step n (t = n * run.dt), xi, and its run.
 
-    A state is stepped under the context and forcing it was made with
-    (``ctx``, ``forcing``).  It computes the values that its step and the
-    run's diagnostics share on first use and keeps them: ``modes``, ``lift``
-    (on ``forcing.support``), ``vdual_liftx`` (the xi source), ``h2``,
-    ``norms``, ``budget_terms`` and ``efac`` for its dt.
-    ``dataclasses.replace`` makes a state that computes them afresh, also
-    one under another context, forcing or xi.  ``u`` is a value: modify a
-    copy, not the array in place.
+    It computes the values its step and the run's diagnostics share on first
+    use and keeps them: ``modes``, ``lift``, ``vdual_liftx`` (the xi source),
+    ``h2``, ``norms`` and ``budget_terms``.  ``dataclasses.replace`` makes a
+    state that computes them afresh, also under another run or xi.  ``u`` is
+    a value: modify a copy, not the array in place.
     """
 
     u: np.ndarray
     n: int
-    dt: float
     xi: float
-    ctx: OperatorContext = field(compare=False, repr=False)
-    forcing: ForcingSetup = field(compare=False, repr=False)
+    run: Run = field(compare=False, repr=False)
 
     @property
     def t(self) -> float:
-        return self.n * self.dt
-
-    @functools.cached_property
-    def efac(self) -> np.ndarray:
-        """e^{-nu lam dt}."""
-        return np.exp(-self.ctx.nu * self.ctx.lam * self.dt)
+        return self.n * self.run.dt
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
-        return to_modes(self.ctx, self.u)
+        return to_modes(self.run.ctx, self.u)
 
     @functools.cached_property
     def lift(self) -> np.ndarray:
-        """The lift at step n on ``forcing.support``."""
-        return lift_at_step(self.forcing, self.n, self.dt)
+        """The lift at step n on the forcing's support."""
+        return self.run.lift(self.n)
 
     @functools.cached_property
     def vdual_liftx(self) -> float:
         """||lift_x||_{V'}."""
-        return lift_terms(self.ctx, self.forcing.support, self.lift)[0]
+        return lift_terms(self.run.ctx, self.run.forcing.support, self.lift)[0]
 
     @functools.cached_property
     def h2(self) -> float:
         """||u||_H^2 = inner_h(u, u)."""
-        return inner_h(self.ctx, self.u, self.u)
+        return inner_h(self.run.ctx, self.u, self.u)
 
     @functools.cached_property
     def norms(self) -> Norms:
-        return modal_norms(self.ctx, self.modes)
+        return modal_norms(self.run.ctx, self.modes)
 
     @functools.cached_property
     def budget_terms(self) -> tuple[float, float, float]:
         """(||u||_H^2, ||u||_V, <lift_x, u>): this state's energy-budget terms."""
-        flux = lift_terms(self.ctx, self.forcing.support, self.lift, self.u)[1]
+        flux = lift_terms(self.run.ctx, self.run.forcing.support, self.lift, self.u)[1]
         return self.h2, self.norms.v, flux
 
 
@@ -218,7 +251,7 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
 
 
 def step(state: SimState, linear_only: bool = False) -> SimState:
-    """One IMEX step from t = n*dt to (n+1)*dt under the state's dt, ctx and forcing.
+    """One IMEX step from t = n*dt to (n+1)*dt under the state's run.
 
     Predictor/corrector on the integrating-factor-transformed system:
         c_p = E (c0 + dt N0),   c1 = E c0 + dt/2 (E N0 + N1(u_p, t1)),
@@ -226,13 +259,13 @@ def step(state: SimState, linear_only: bool = False) -> SimState:
     holds the OU part at the step's start, matching the sample-hold
     convention; the new state's lift takes the gridpoint it ends on.
     """
-    dt, ctx, forcing = state.dt, state.ctx, state.forcing
+    run, dt, ctx = state.run, state.run.dt, state.run.ctx
     n1 = state.n + 1
-    efac = state.efac
+    efac = run.efac
     c0 = state.modes
 
     # Each field-sized temporary is dropped as soon as it is consumed.
-    li, ki = forcing.support
+    li, ki = run.forcing.support
     psi = from_modes(ctx, -ctx.inv_lam * c0)
     psi[:, li, ki] += state.lift
     r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
@@ -252,7 +285,7 @@ def step(state: SimState, linear_only: bool = False) -> SimState:
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.
-    lift1 = lift_at_step(forcing, n1, dt, held=state.n)
+    lift1 = run.lift(n1, held=state.n)
     psi[:, li, ki] += lift1
     r1, _ = _rhs(ctx, u_pred, psi, linear_only)
     del psi, u_pred
@@ -271,14 +304,12 @@ def step(state: SimState, linear_only: bool = False) -> SimState:
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
         raise BlowupError(f"||u||_H exceeded 1e3*sqrt(2 xi) at t={n1 * dt:g}")
 
-    new = SimState(u=u1, n=n1, dt=dt, xi=xi1, ctx=ctx, forcing=forcing)
-    # Seed the cache: cached_property returns what the instance __dict__ holds.
-    new.__dict__.update(efac=efac, h2=h2)
+    new = SimState(u=u1, n=n1, xi=xi1, run=run)
+    new.__dict__["h2"] = h2  # seeds the cached_property, which reads the instance __dict__
     return new
 
 
-def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
-                  t0: float, dt: float) -> SimState:
+def initial_state(run: Run, u0: np.ndarray, t0: float) -> SimState:
     """SimState at t0; its lift holds the OU state of the last noise gridpoint <= t0.
 
     The mean-zero projection is applied only when the input actually has a
@@ -287,15 +318,12 @@ def initial_state(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     when a run is split into legs.
     """
     _keep_step_memory()
-    n0 = grid_steps(t0, dt, "t0")
-    lift = lift_at_step(forcing, n0, dt)  # also checks dt and that the path covers t0
-    u0 = np.asarray(u0, dtype=complex)
-    if mean_defect(u0, ctx.zw) > 1e-14:
-        u0 = project_mean_zero(ctx.grid, u0, ctx.zw)
-    else:
-        u0 = u0.copy()
+    n0 = grid_steps(t0, run.dt, "t0")
+    lift = run.lift(n0)  # also checks that the path covers t0
+    ctx, u0 = run.ctx, np.asarray(u0, dtype=complex)
+    u0 = project_mean_zero(ctx.grid, u0, ctx.zw) if mean_defect(u0, ctx.zw) > 1e-14 else u0.copy()
     h2 = inner_h(ctx, u0, u0)
-    state = SimState(u=u0, n=n0, dt=dt, xi=float(h2), ctx=ctx, forcing=forcing)
+    state = SimState(u=u0, n=n0, xi=float(h2), run=run)
     state.__dict__.update(h2=h2, lift=lift)  # seeds the cached_properties, as in step
     return state
 
@@ -311,13 +339,18 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     ``snapshot_sink(t, u)`` is given; the sink is handed each snapshot when
     it is taken, must not modify ``u``, and the list then stays empty.
     Only the current state is kept between steps.  Identical (path seed,
-    config) inputs give bitwise-identical output.
+    config) inputs give bitwise-identical output.  The noise path must cover
+    the lift of every state up to t1; that is checked before the first step.
     """
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
-    state = initial_state(ctx, forcing, u0, t0, dt)
+    run = Run(ctx, forcing, dt)
+    n1 = grid_steps(t1, dt, "t1")
+    if n1 > run.last:
+        raise ValueError(f"t1={t1} lies beyond the noise path, which covers t <= {run.last * dt}")
+    state = initial_state(run, u0, t0)
     del u0  # the state holds its own copy
-    n_steps = grid_steps(t1, dt, "t1") - state.n
+    n_steps = n1 - state.n
 
     snapshots = []
     if snapshot_sink is None:
@@ -332,26 +365,15 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
         t_prev = state.t
         state = step(state, linear_only=linear_only)
         if record_diagnostics:
-            record, terms = _record(ctx, state, t_prev, terms)
-            diagnostics.append(record)
+            start, terms = terms, state.budget_terms
+            diagnostics.append(DiagnosticsRecord(
+                t=state.t, h=state.norms.h, v=state.norms.v, vdual_liftx=state.vdual_liftx,
+                xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, terms),
+                dt=dt))
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:
             snapshot_sink(state.t, state.u)
     snapshot_sink(state.t, state.u)
     return SimResult(final=state, snapshots=snapshots, diagnostics=diagnostics)
-
-
-def _record(ctx: OperatorContext, state: SimState, t_prev: float,
-            start) -> tuple[DiagnosticsRecord, tuple]:
-    """The record of the step from t_prev to ``state``, and the state's budget terms.
-
-    ``start`` holds the budget terms of the step's first state.
-    """
-    end = state.budget_terms
-    record = DiagnosticsRecord(
-        t=state.t, h=state.norms.h, v=state.norms.v, vdual_liftx=state.vdual_liftx,
-        xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, end),
-        dt=state.dt)
-    return record, end
 
 
 def _budget_residual(ctx: OperatorContext, dt: float, start, end) -> float:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .forcing import advance_ou, init_ou_state, setup_lift, shift_path, ForcingSetup
-from .integrator import initial_state, simulate, step, xi_step
+from .integrator import Run, initial_state, simulate, step, xi_step
 from .lift import BoundaryFlux, lift_interior_residual, solve_lift
 from .operators import (
     apply_A,
@@ -53,11 +53,7 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     wl = vop.weights[:, None] * vop.action
     check("vertical operator symmetric",
           np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl)))
-    nzr = np.arange(vop.nz)
-    m = np.zeros((vop.nz, vop.nz))
-    m[nzr, nzr] = vop.diag
-    m[nzr[:-1], nzr[1:]] = vop.offdiag
-    m[nzr[1:], nzr[:-1]] = vop.offdiag
+    m = np.diag(vop.diag) + np.diag(vop.offdiag, 1) + np.diag(vop.offdiag, -1)
     gram = vop.phi.T @ (vop.weights[:, None] * vop.phi)
     check("eigenvectors orthonormal", np.max(np.abs(gram - np.eye(vop.nz))) < 1e-12)
     lam1_dense = min(1.0, np.linalg.eigvalsh(m)[1])
@@ -125,7 +121,7 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     no_columns = np.zeros(0, dtype=np.intp)
     zero_forcing = replace(forcing, support=(no_columns, no_columns),
                            basis=forcing.basis[:, :, :0])
-    st = initial_state(ctx, zero_forcing, u0, path.t_min, dt)
+    st = initial_state(Run(ctx, zero_forcing, dt), u0, path.t_min)
     st1 = step(st, linear_only=True)
     decay_err = np.max(np.abs(st1.u - np.exp(-ctx.nu * lam * dt) * u0))
     check("eigenmode integrating-factor decay", decay_err < 1e-12, f"err={decay_err:.2e}")

@@ -248,10 +248,7 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
 
     phi = yhat / sqrtw[:, None]
     # Dense action of L on level values: W^(-1/2) M W^(1/2).
-    m_dense = np.zeros((nz, nz))
-    m_dense[np.arange(nz), np.arange(nz)] = m_diag
-    m_dense[np.arange(nz - 1), np.arange(1, nz)] = m_off
-    m_dense[np.arange(1, nz), np.arange(nz - 1)] = m_off
+    m_dense = np.diag(m_diag) + np.diag(m_off, 1) + np.diag(m_off, -1)
     action = (m_dense * sqrtw[None, :]) / sqrtw[:, None]
 
     return VerticalOperator(

@@ -25,13 +25,12 @@ from stochqg.forcing import (
     advance_ou,
     build_forcing,
     init_ou_state,
-    lift_at_step,
     make_noise_model,
     make_noise_path,
     setup_lift,
     temperedness_series,
 )
-from stochqg.integrator import initial_state, simulate, step, xi_step
+from stochqg.integrator import Run, initial_state, simulate, step, xi_step
 from stochqg.lift import (
     BoundaryFlux,
     boundary_modes,
@@ -267,7 +266,7 @@ def test_criterion_5_integrator(desk):
     f0 = make_forcing(grid, vop, q0=0.0, amp=0.0)
     u0 = unit_eigenmode(ctx0, 1, 2, 1)
     lam = eigenvalue_of(ctx0, 1, 2, 1)
-    st = initial_state(ctx0, f0, u0, 0.0, h)
+    st = initial_state(Run(ctx0, f0, h), u0, 0.0)
     for k in range(16):
         st = step(st)
     decay_rel = np.max(np.abs(st.u - np.exp(-0.5 * lam * st.t) * u0)) / np.exp(-0.5 * lam * st.t)
@@ -351,9 +350,10 @@ def test_criterion_6_dynamical_systems(desk, dyn):
     estT = estimate_xi_star(ctx, f, at=-float(T), dt=DYN_DT)
     x0 = 5.0
     xi = x0
+    run = Run(ctx, f, DYN_DT)
     for k in range(round(T / DYN_DT)):
         lift = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-        lift[:, f.support[0], f.support[1]] = lift_at_step(f, round(-T / DYN_DT) + k, DYN_DT)
+        lift[:, f.support[0], f.support[1]] = run.lift(round(-T / DYN_DT) + k)
         xi = xi_step(xi, lift, DYN_DT, ctx)
     tol = (est0.rule_gap + est0.truncation_bound
            + np.exp(-rate * T) * (estT.rule_gap + estT.truncation_bound) + 1e-12)

@@ -29,14 +29,13 @@ from stochqg.forcing import (
     advance_ou,
     build_forcing,
     init_ou_state,
-    lift_at_step,
     make_noise_model,
     make_noise_path,
     setup_lift,
     shift_path,
     steps_per_noise,
 )
-from stochqg.integrator import simulate, xi_step
+from stochqg.integrator import Run, simulate, xi_step
 from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
 from stochqg.operators import (build_context, deriv_x, inner_h, lift_terms, nonzero_columns,
                                norm_h, norms, unit_eigenmode)
@@ -172,8 +171,9 @@ class TestXiStar:
         estT = estimate_xi_star(ctx, setup, at=-float(T), dt=DT)
         x0 = 5.0
         xi = x0
+        run = Run(ctx, setup, DT)
         for k in range(round(T / DT)):
-            lift = _dense(grid, setup, lift_at_step(setup, round(-T / DT) + k, DT))
+            lift = _dense(grid, setup, run.lift(round(-T / DT) + k))
             xi = xi_step(xi, lift, DT, ctx)
         tol = (est0.rule_gap + est0.truncation_bound
                + np.exp(-rate * T) * (estT.rule_gap + estT.truncation_bound) + 1e-12)
@@ -194,8 +194,9 @@ class TestAbsorbingBall:
         est_t0 = estimate_xi_star(ctx, setup, at=t0, dt=DT)
         est_t1 = estimate_xi_star(ctx, setup, at=t1, dt=DT)
         xi = absorbing_ball(est_t0.held_value)
+        run = Run(ctx, setup, DT)
         for k in range(round((t1 - t0) / DT)):
-            lift = _dense(grid, setup, lift_at_step(setup, round(t0 / DT) + k, DT))
+            lift = _dense(grid, setup, run.lift(round(t0 / DT) + k))
             xi = xi_step(xi, lift, DT, ctx)
         bound = absorbing_ball(est_t1.held_value)
         tol = 2.0 * (est_t0.truncation_bound + est_t1.truncation_bound) + 1e-12

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochqg import integrator
 from stochqg.cli import build_runtime, initial_field, main
 from stochqg.config import (
     ConfigError,
@@ -288,6 +289,49 @@ class TestCLI:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
         assert f"{key}: 'inf' is not finite" in record["message"]
+
+    @pytest.mark.parametrize("setting, message", [
+        ("cocycle.s=-1", "cocycle.s must be nonnegative"),
+        ("cocycle.t=-0.5", "cocycle.t must be nonnegative"),
+        ("cocycle.s=0.03", "cocycle.s: 0.03 is not a multiple of the grid step 0.0625"),
+        ("cocycle.t=1.01", "cocycle.t: 1.01 is not a multiple of the grid step 0.0625")])
+    def test_bad_cocycle_time_exit_one(self, tmp_path, capsys, setting, message):
+        rc = main(["cocycle-check", "--set", f"output.dir={tmp_path}", "--set", setting])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert message in record["message"]
+        assert parse_config("cocycle.s = 0\ncocycle.t = 0\n").cocycle_s == 0.0
+
+    @pytest.mark.parametrize("command, setting, t1", [("simulate", "time.t1=100", 100.0),
+                                                      ("cocycle-check", "cocycle.t=100", 101.0)])
+    def test_end_beyond_path_exit_one_before_stepping(self, tmp_path, capsys, monkeypatch,
+                                                      command, setting, t1):
+        # The default path covers up to t = 16; nothing is stepped or written.
+        steps = []
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        step = integrator.step
+        monkeypatch.setattr(integrator, "step", counted)
+        rc = main([command, "--set", f"output.dir={tmp_path}", "--set", setting,
+                   "--set", "time.snapshot_every=64"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err and steps == []
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "invalid-request"
+        assert f"t1={t1} lies beyond the noise path, which covers t <= 16.0" in record["message"]
+        assert list(tmp_path.glob("snapshot_*.bin")) == []
+
+    def test_t0_before_path_names_the_requested_time(self, tmp_path, capsys):
+        # At dt = dt_noise/4 the message names t0, not the noise gridpoint -64.0625.
+        rc = main(["simulate", "--set", f"output.dir={tmp_path}", "--set", "time.dt=0.015625",
+                   "--set", "time.t0=-64.015625", "--set", "time.t1=-63"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"].startswith("time -64.015625 outside path range [-64.0, 16.0]")
 
     def test_gen_noise_rejects_off_grid_window_when_extending(self, tmp_path, capsys):
         # Extending rounded t_min = -8.03 to -8.0, where creating a file rejected it.

@@ -15,7 +15,6 @@ from stochqg.forcing import (
     extend_noise_path,
     init_ou_state,
     interior_ou_modes,
-    lift_at_step,
     lift_columns,
     load_noise_path,
     make_noise_model,
@@ -27,6 +26,7 @@ from stochqg.forcing import (
     tail_slope,
     temperedness_series,
 )
+from stochqg.integrator import Run
 from stochqg.lift import BoundaryFlux, mode_flux, boundary_modes, precompute_mode_lifts, solve_lift
 from stochqg.operators import deriv_x, inner_h, lift_terms, nonzero_columns, norm_h, norms
 from conftest import random_field
@@ -388,35 +388,50 @@ class TestLiftAt:
 
 
 class TestLiftAtStep:
-    """The one step rule: step n's lift, OU part held at a gridpoint, periodic part at n."""
+    """``Run.lift``, the one step rule: OU part held at a gridpoint, periodic part at step n."""
 
     def _setup(self, grid, vop):
         model = small_model(grid, q0=0.05)
         path = shift_path(make_noise_path(6, model.n_modes, H, -2.0, 2.0), 0.75)
         return build_forcing(grid, vop, model, unit_periodic(grid, 0.4, 0.3), path)
 
-    def test_matches_written_rule_on_shifted_path(self, grid, vop):
+    def test_matches_written_rule_on_shifted_path(self, ctx, grid, vop):
         setup = self._setup(grid, vop)
         path = setup.path
         dt, m = H / 2, 2
+        run = Run(ctx, setup, dt)
         n_min, n_max = round(path.t_min / dt), round(path.t_max / dt)
+        # The path covers the lift of each step up to the end of its last noise cell.
+        assert (run.m, run.first, run.last) == (m, n_min, n_max + m - 1)
         for n in range(n_min + 1, n_max + 1):
             for held in (n, n - 1):
                 state = init_ou_state(setup.model, path, (held // m) * path.dt_noise)
                 expect = lift_columns(setup, state, step_index=n + path.local_shift * m, dt=dt)
-                assert np.array_equal(lift_at_step(setup, n, dt, held=held), expect)
-        assert np.array_equal(lift_at_step(setup, n_min, dt),
-                              lift_at_step(setup, n_min, dt, held=n_min))
+                assert np.array_equal(run.lift(n, held=held), expect)
+        assert np.array_equal(run.lift(n_min), run.lift(n_min, held=n_min))
 
-    def test_rejects_steps_off_the_path_and_bad_dt(self, grid, vop):
+    def test_rejects_steps_off_the_path_and_bad_dt(self, ctx, grid, vop):
         setup = self._setup(grid, vop)
         path = setup.path
         dt = H / 2
+        run = Run(ctx, setup, dt)
         for n in (round(path.t_min / dt) - 1, round(path.t_max / dt) + 2):
             with pytest.raises(ValueError, match="outside path range"):
-                lift_at_step(setup, n, dt)
+                run.lift(n)
         with pytest.raises(ValueError, match="must divide"):
-            lift_at_step(setup, 0, 0.7 * H)
+            Run(ctx, setup, 0.7 * H)
+
+    def test_off_path_message_names_the_step_time(self, ctx, grid, vop):
+        # Between noise gridpoints the message names the step's own time,
+        # not the noise gridpoint whose OU state the step would hold.
+        setup = self._setup(grid, vop)
+        dt = H / 4
+        run = Run(ctx, setup, dt)
+        t_before = (run.first - 1) * dt  # -2.765625, whose gridpoint is -2.8125
+        with pytest.raises(ValueError, match=f"^time {t_before} outside path range"):
+            run.lift(run.first - 1)
+        with pytest.raises(ValueError, match=f"^time {(run.last + 1) * dt} outside path range"):
+            run.lift(run.first, held=run.last + 1)
 
 
 class TestColumnLift:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochqg import forcing
+from stochqg import forcing, integrator
 from stochqg.forcing import (
     PeriodicFlux,
     build_forcing,
@@ -25,6 +25,7 @@ from stochqg.integrator import (
     BlowupError,
     CFLViolation,
     DiagnosticsRecord,
+    Run,
     SimState,
     energy_budget,
     initial_state,
@@ -75,7 +76,7 @@ class TestStep:
         setup = forcing_for(grid, vop)
         u0 = unit_eigenmode(ctx0, 1, 2, 1)
         lam = eigenvalue_of(ctx0, 1, 2, 1)
-        st = initial_state(ctx0, setup, u0, 0.0, H)
+        st = initial_state(Run(ctx0, setup, H), u0, 0.0)
         for k in range(10):
             st = step(st)
             expect = np.exp(-0.5 * lam * (k + 1) * H) * u0
@@ -83,7 +84,7 @@ class TestStep:
 
     def test_zero_stays_zero(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
-        st = initial_state(ctx, setup, np.zeros((grid.nz, grid.ny, grid.nkx), complex), 0.0, H)
+        st = initial_state(Run(ctx, setup, H), np.zeros((grid.nz, grid.ny, grid.nkx), complex), 0.0)
         for _ in range(5):
             st = step(st)
         assert np.all(st.u == 0.0)
@@ -115,7 +116,7 @@ class TestStep:
     def test_cfl_violation(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
         u0 = 50.0 * unit_eigenmode(ctx, 0, 1, 1)
-        st = initial_state(ctx, setup, u0, 0.0, H)
+        st = initial_state(Run(ctx, setup, H), u0, 0.0)
         with pytest.raises(CFLViolation) as err:
             step(st)
         assert err.value.suggested_dt < H
@@ -123,14 +124,15 @@ class TestStep:
     def test_blowup_guard(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
         u0 = 1e-2 * unit_eigenmode(ctx, 0, 1, 1)
-        st = dataclasses.replace(initial_state(ctx, setup, u0, 0.0, H), xi=1e-12)
+        st = dataclasses.replace(initial_state(Run(ctx, setup, H), u0, 0.0), xi=1e-12)
         with pytest.raises(BlowupError):
             step(st)
 
     def test_dt_must_divide_noise_step(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
         with pytest.raises(ValueError):
-            initial_state(ctx, setup, np.zeros((grid.nz, grid.ny, grid.nkx), complex), 0.0, 0.7 * H)
+            initial_state(Run(ctx, setup, 0.7 * H), np.zeros((grid.nz, grid.ny, grid.nkx), complex),
+                          0.0)
 
 
 class TestSimulate:
@@ -165,6 +167,61 @@ class TestSimulate:
             simulate(ctx, setup, z, 0.0, 1.03, H)
 
 
+class TestRun:
+    """A run resolves its constants once and refuses an end the path does not cover."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("record_diagnostics", [True, False])
+    def test_t1_beyond_last_covered_step_refused_before_stepping(self, ctx, grid, vop,
+                                                                 monkeypatch, m,
+                                                                 record_diagnostics):
+        # Every state a run makes has its lift on the path, so the run may end
+        # at step ``last`` and no later, with or without diagnostics.
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, t_min=-1.0, t_max=1.0)
+        dt = H / m
+        run = Run(ctx, setup, dt)
+        assert run.last * dt == setup.path.t_max + (m - 1) * dt
+        u0 = 0.1 * unit_eigenmode(ctx, 1, 1, 2)
+        res = simulate(ctx, setup, u0, (run.last - 4) * dt, run.last * dt, dt,
+                       record_diagnostics=record_diagnostics)
+        assert res.final.n == run.last
+
+        steps, sunk = [], []
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "step", counted_step)
+        t1 = (run.last + 1) * dt
+        with pytest.raises(ValueError, match="t1") as err:
+            simulate(ctx, setup, u0, (run.last - 4) * dt, t1, dt,
+                     record_diagnostics=record_diagnostics,
+                     snapshot_sink=lambda t, u: sunk.append(t))
+        assert f"t1={t1}" in str(err.value) and f"{run.last * dt}" in str(err.value)
+        assert steps == [] and sunk == []
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_steps_per_noise_once_per_run(self, ctx, grid, vop, monkeypatch, m):
+        # steps_per_noise is resolved when the run is built, never per step.
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2)
+        u0 = 0.1 * unit_eigenmode(ctx, 1, 1, 2)
+        calls, steps_per_noise = [], forcing.steps_per_noise
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return steps_per_noise(*args, **kwargs)
+
+        for module in (forcing, integrator):
+            monkeypatch.setattr(module, "steps_per_noise", counted, raising=False)
+        counts = []
+        for n_steps in (4, 8):
+            calls.clear()
+            simulate(ctx, setup, u0, 0.0, n_steps * H / m, H / m)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+
 class TestStepReport:
     """Each state's shared values are reused by its step and the diagnostics; no bit may move."""
 
@@ -179,9 +236,10 @@ class TestStepReport:
         setup, u0 = self._setup(ctx, grid, vop)
         res = simulate(ctx, setup, u0, 0.0, 1.0, H, snapshot_every=1)
         states, lifts = [], []
+        run = Run(ctx, setup, H)
         xi = inner_h(ctx, res.snapshots[0][1], res.snapshots[0][1])
         for n, (_, u) in enumerate(res.snapshots):
-            states.append(SimState(u=u, n=n, dt=H, xi=xi, ctx=ctx, forcing=setup))
+            states.append(SimState(u=u, n=n, xi=xi, run=run))
             lifts.append(setup_lift(setup, init_ou_state(setup.model, setup.path, n * H),
                                     step_index=n, dt=H))
             xi = xi_step(xi, lifts[-1], H, ctx)
@@ -197,17 +255,19 @@ class TestStepReport:
         assert rebuilt == res.diagnostics
 
     def test_state_needs_context_and_forcing(self, ctx, grid, vop):
-        # A state is stepped under the setup it carries, so it cannot be made without one.
+        # A state is stepped under the run it carries, so it cannot be made
+        # without one, and a run cannot be made without a forcing and a step.
         u = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
+        assert [f.name for f in dataclasses.fields(SimState)] == ["u", "n", "xi", "run"]
         with pytest.raises(TypeError):
-            SimState(u=u, n=0, dt=H, xi=0.0)
+            SimState(u=u, n=0, xi=0.0)
         with pytest.raises(TypeError):
-            SimState(u=u, n=0, dt=H, xi=0.0, ctx=ctx)
+            Run(ctx, dt=H)
 
     def test_steps_without_reports_match_simulate(self, ctx, grid, vop):
         setup, u0 = self._setup(ctx, grid, vop)
         res = simulate(ctx, setup, u0, 0.0, 1.0, H)
-        st = initial_state(ctx, setup, u0, 0.0, H)
+        st = initial_state(Run(ctx, setup, H), u0, 0.0)
         xis = []
         for _ in range(16):
             st = step(dataclasses.replace(st))
@@ -226,11 +286,11 @@ class TestStepReport:
             calls.append(kwargs["step_index"])
             return lift_columns(*args, **kwargs)
 
-        monkeypatch.setattr(forcing, "lift_columns", counted)
+        monkeypatch.setattr(integrator, "lift_columns", counted)
         res = simulate(ctx, setup, u0, 0.0, 8 * dt, dt)
         monkeypatch.undo()
         assert len(calls) == 1 + 8 * 2  # the initial state's lift, then 2 per step
-        st = initial_state(ctx, setup, u0, 0.0, dt)
+        st = initial_state(Run(ctx, setup, dt), u0, 0.0)
         xis = []
         for _ in range(8):
             st = step(dataclasses.replace(st))
@@ -241,18 +301,18 @@ class TestStepReport:
     def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
         # The report made for the old u must not be used for the new one.
         setup, u0 = self._setup(ctx, grid, vop)
-        st = step(initial_state(ctx, setup, u0, 0.0, H))
+        st = step(initial_state(Run(ctx, setup, H), u0, 0.0))
         other = 0.1 * random_field(ctx, np.random.default_rng(49), decay=2.0)
         edited = step(dataclasses.replace(st, u=other))
-        fresh = step(dataclasses.replace(initial_state(ctx, setup, other, st.t, H), xi=st.xi))
+        fresh = step(dataclasses.replace(initial_state(Run(ctx, setup, H), other, st.t), xi=st.xi))
         assert np.array_equal(edited.u, fresh.u)
         assert edited.xi == fresh.xi
 
 
     @pytest.mark.parametrize("change", ["forcing", "context"])
     def test_state_from_other_setup_steps_like_fresh_state(self, ctx, grid, vop, change):
-        # A state made under forcing (or context) A, with its lift, modes,
-        # xi source and efac already computed, is stepped under B: none of
+        # A state made under forcing (or context) A, with its lift, modes
+        # and xi source already computed, is moved to a run under B: none of
         # A's values may be used.
         setup_a, u0 = self._setup(ctx, grid, vop)
         setup_b, ctx_b = setup_a, ctx
@@ -260,11 +320,11 @@ class TestStepReport:
             setup_b = forcing_for(grid, vop, q0=0.05, amp=0.5, phase=0.4, seed=11)
         else:
             ctx_b = build_context(grid, vop, nu=2.0 * ctx.nu, beta=ctx.beta)
-        st = step(initial_state(ctx, setup_a, u0, 0.0, H))
+        st = step(initial_state(Run(ctx, setup_a, H), u0, 0.0))
         _ = st.vdual_liftx, st.modes  # fills A's cache
-        assert {"efac", "lift", "modes", "vdual_liftx"} <= set(vars(st))
-        moved = step(dataclasses.replace(st, ctx=ctx_b, forcing=setup_b))
-        fresh = step(dataclasses.replace(initial_state(ctx_b, setup_b, st.u, st.t, H),
+        assert {"lift", "modes", "vdual_liftx"} <= set(vars(st))
+        moved = step(dataclasses.replace(st, run=Run(ctx_b, setup_b, H)))
+        fresh = step(dataclasses.replace(initial_state(Run(ctx_b, setup_b, H), st.u, st.t),
                                          xi=st.xi))
         assert np.array_equal(moved.u, fresh.u)
         assert moved.xi == fresh.xi
@@ -283,7 +343,7 @@ class TestStepReport:
             calls.append(kwargs["step_index"])
             return lift_columns(*args, **kwargs)
 
-        monkeypatch.setattr(forcing, "lift_columns", counted)
+        monkeypatch.setattr(integrator, "lift_columns", counted)
         res = simulate(ctx, setup, u0, 0.0, 8 * H, H, record_diagnostics=False)
         assert len(calls) == 16
         assert "lift" not in vars(res.final) and "modes" not in vars(res.final)
@@ -366,7 +426,7 @@ class TestEnergyBudget:
     def test_zero_state(self, ctx, grid, vop):
         setup = forcing_for(grid, vop)
         z = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
-        s0 = initial_state(ctx, setup, z, 0.0, H)
+        s0 = initial_state(Run(ctx, setup, H), z, 0.0)
         s1 = step(s0)
         assert energy_budget(ctx, s0, s1, z, z) == 0.0
 

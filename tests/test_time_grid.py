@@ -30,7 +30,7 @@ from stochqg.forcing import (
     steps_per_noise,
     temperedness_series,
 )
-from stochqg.integrator import initial_state, simulate
+from stochqg.integrator import Run, initial_state, simulate
 from stochqg.lift import BoundaryFlux
 from stochqg.operators import build_context
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
@@ -81,7 +81,7 @@ SITES = {
     "load_noise_path": (_load_with_t_min, -8.0, -64, -8.03, "header t_min"),
     "steps_per_noise": (lambda e, t: steps_per_noise(DT / 4, t), DT, 4, 0.14, "must divide"),
     "validate_config": (_steps_per_noise_from_config, DT, 4, 0.14, "time.dt must divide"),
-    "initial_state": (lambda e, t: initial_state(e.ctx, e.forcing, e.zero, t, DT).n,
+    "initial_state": (lambda e, t: initial_state(Run(e.ctx, e.forcing, DT), e.zero, t).n,
                       1.5, 12, 1.55, "t0"),
     "simulate": (lambda e, t: simulate(e.ctx, e.forcing, e.zero, 0.0, t, DT,
                                        record_diagnostics=False).final.n, 0.5, 4, 0.55, "t1"),

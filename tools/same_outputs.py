@@ -1,0 +1,156 @@
+"""Compare the outputs of this checkout with those of another git revision.
+
+Usage, from the repository root:
+
+    python3 tools/same_outputs.py --against REV
+
+A detached ``git worktree`` of REV is made in a temporary directory and
+removed afterwards.  Each producer runs once per tree, with that tree's
+``src/`` on PYTHONPATH, in a working directory of its own.  For each output
+the tool prints its name, its sha256 under REV and under this checkout
+(working-tree files, committed or not), and whether the two are equal.  The
+exit code is 1 when any output differs or is missing in one tree, else 0.
+
+Producers:
+
+- ``bench/run.py --seconds 1``: the final-state digest of every workload,
+  seeds 1-3;
+- the README "Example" commands: their stdout and every artifact;
+- ``simulate`` at dt = dt_noise/4: ``diagnostics.csv`` and the snapshots;
+- ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
+- ``config_hash(SimConfig())``.
+
+The digests depend on the BLAS kernels the host picks, so the two trees are
+run on one machine instead of against stored values.  BLAS and OpenMP run
+on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("sim64_diag", "pullback32", "cli128_io")
+SEEDS = (1, 2, 3)
+DT4_RUN = ("simulate", "--set", "time.dt=0.015625", "--set", "time.t1=1",
+           "--set", "init.kind=random", "--set", "periodic.amplitude=0.5",
+           "--set", "time.snapshot_every=16", "--set", "output.dir=out")
+CONFIG_HASH = "from stochqg.config import SimConfig, config_hash; print(config_hash(SimConfig()))"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _readme_example() -> str:
+    """The README's "Example" code block, as CI runs it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^Example:.*?^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    if match is None:
+        sys.exit("same_outputs: no Example block in README.md")
+    return match.group(1)
+
+
+class Tree:
+    """One checkout whose producers run with its own ``src/`` on PYTHONPATH."""
+
+    def __init__(self, root: Path, scratch: Path):
+        self.root = root
+        self.scratch = scratch
+        self.env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(self, args, cwd: Path) -> tuple[int, str]:
+        proc = subprocess.run(args, cwd=cwd, env=self.env, capture_output=True, text=True)
+        if proc.returncode:
+            print(f"  [{self.root.name}] {' '.join(map(str, args))[:80]} exited "
+                  f"{proc.returncode}: {proc.stderr.strip()[-300:]}", file=sys.stderr)
+        return proc.returncode, proc.stdout
+
+    def workdir(self, name: str) -> Path:
+        path = self.scratch / name
+        path.mkdir(parents=True)
+        return path
+
+    def outputs(self) -> dict[str, str]:
+        out = {}
+
+        def text(name, code, stdout):
+            out[name] = _sha(stdout.encode()) if code == 0 else f"failed (exit {code})"
+
+        def files(prefix, directory):
+            for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+                out[f"{prefix}/{path.relative_to(directory)}"] = _sha(path.read_bytes())
+
+        py = sys.executable
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                code, stdout = self.run([py, "bench/run.py", "--workload", workload,
+                                         "--seed", str(seed), "--seconds", "1"], self.root)
+                lines = stdout.splitlines()
+                out[f"bench {workload} seed {seed} digest"] = (
+                    json.loads(lines[-2])["digest"] if code == 0 and len(lines) >= 2
+                    else f"failed (exit {code})")
+
+        readme = self.workdir("readme")
+        script = f'stochqg() {{ "{py}" -m stochqg.cli "$@"; }}\n' + _readme_example()
+        text("readme stdout", *self.run(["sh", "-e", "-c", script], readme))
+        files("readme", readme)
+
+        dt4 = self.workdir("dt4")
+        text("simulate dt_noise/4 stdout", *self.run([py, "-m", "stochqg.cli", *DT4_RUN], dt4))
+        files("simulate dt_noise/4", dt4 / "out")
+
+        for command in ("cocycle-check", "validate"):
+            code, stdout = self.run([py, "-m", "stochqg.cli", command], self.workdir(command))
+            text(f"{command} stdout", code, stdout)
+            if command == "cocycle-check":
+                out["cocycle-check line"] = stdout.strip()
+
+        code, stdout = self.run([py, "-c", CONFIG_HASH], self.scratch)
+        out["config_hash(SimConfig())"] = stdout.strip() if code == 0 else f"failed (exit {code})"
+        return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision to compare with, e.g. the parent commit")
+    args = parser.parse_args(argv)
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        other = tmp / "against"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(other), args.against], check=True)
+        try:
+            theirs = Tree(other, tmp / "run-against").outputs()
+            ours = Tree(ROOT, tmp / "run-this").outputs()
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(other)], check=False)
+
+    differ = 0
+    print(f"{'output':<44} {args.against[:12]:<64} {'this checkout':<64} same")
+    names = list(theirs) + [n for n in ours if n not in theirs]
+    for name in names:
+        a, b = theirs.get(name, "missing"), ours.get(name, "missing")
+        differ += a != b
+        print(f"{name:<44} {a:<64} {b:<64} {'yes' if a == b else 'NO'}")
+    print(f"same_outputs: {len(names) - differ} equal, {differ} differ, "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -374,17 +374,14 @@ def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
                         support=(li, ki), basis=basis)
 
 
-def lift_columns(setup: ForcingSetup, state: OUBoundaryState,
-                 step_index: int | None = None, dt: float | None = None) -> np.ndarray:
-    """Harmonic lift at t = step_index * dt (default: the OU gridpoint), on ``setup.support``.
+def lift_columns(setup: ForcingSetup, zeta: np.ndarray, step_index: int, dt: float) -> np.ndarray:
+    """Harmonic lift at t = step_index * dt with OU state ``zeta``, on ``setup.support``.
 
     lift(t) = sum_i sqrt(q_i) zeta_i l_i + sin(2pi (t + phase)) G~(u0): the
     amplitudes times ``setup.basis``, shape (nz, ncols).  The stochastic
-    part is sample-held at the state's gridpoint.
+    part is sample-held: ``zeta`` is the OU state of a noise gridpoint.
     """
-    if step_index is None:
-        step_index, dt = state.j, state.dt_noise
-    amp = np.append(np.sqrt(setup.model.q) * state.zeta,
+    amp = np.append(np.sqrt(setup.model.q) * zeta,
                     periodic_factor(setup.periodic, step_index, dt))
     # numpy's einsum rather than a BLAS product, whose result could depend on
     # the thread count; the real amplitudes act on the float view of the basis.
@@ -394,10 +391,12 @@ def lift_columns(setup: ForcingSetup, state: OUBoundaryState,
 
 def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
                step_index: int | None = None, dt: float | None = None) -> np.ndarray:
-    """The dense (nz, ny, nkx) lift: ``lift_columns`` scattered into zeros."""
+    """Dense (nz, ny, nkx) ``lift_columns``; t defaults to the state's gridpoint."""
+    if step_index is None:
+        step_index, dt = state.j, state.dt_noise
     li, ki = setup.support
     out = np.zeros((setup.basis.shape[1], *setup.periodic.u0.coef.shape), dtype=complex)
-    out[:, li, ki] = lift_columns(setup, state, step_index, dt)
+    out[:, li, ki] = lift_columns(setup, state.zeta, step_index, dt)
     return out
 
 

@@ -40,14 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .forcing import (ForcingSetup, OUBoundaryState, check_byte_count, grid_steps,
-                      lift_columns, ou_series, steps_per_noise)
+from .forcing import (ForcingSetup, check_byte_count, grid_steps, lift_columns, ou_series,
+                      steps_per_noise)
 from .operators import (
     Norms,
     OperatorContext,
     apply_G,
-    dealiased_product,
-    deriv_x,
+    block_product,
     from_modes,
     inner_h,
     lift_terms,
@@ -128,9 +127,8 @@ class Run:
             raise ValueError(f"time {held * self.dt} outside path range "
                              f"[{path.t_min}, {path.t_max}]")
         j = held // self.m + path.local_shift  # floor, also for negative steps
-        ou = OUBoundaryState(zeta=ou_series(self.forcing.model, path)[j - path.i0_abs], j=j,
-                             dt_noise=path.dt_noise)
-        return lift_columns(self.forcing, ou, step_index=n + path.local_shift * self.m,
+        zeta = ou_series(self.forcing.model, path)[j - path.i0_abs]
+        return lift_columns(self.forcing, zeta, step_index=n + path.local_shift * self.m,
                             dt=self.dt)
 
 
@@ -204,23 +202,29 @@ class SimResult:
 
 def _rhs(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
          cfl: bool = False):
-    """Explicit tendency N(u) and the advective dt limit.
+    """Explicit tendency N(u), written over psi, and the advective dt limit.
 
     ``psi`` is G(u) + lift, built by the caller so the mode transform of G
-    is shared with the integrating-factor update.  The dt limit is found
-    only with ``cfl`` and a nonlinear step; otherwise it is inf.
+    is shared with the integrating-factor update.  Each block of
+    ``ctx.blocks`` becomes -beta * deriv_x(psi) - J(psi, u) once its
+    Jacobian is made, so a level-blocked grid holds no whole-field J.  The dt
+    limit is found only with ``cfl`` and a nonlinear step; otherwise it is inf.
     """
-    if linear_only:
-        tendency = -ctx.beta * deriv_x(ctx, psi)
-        remove_mean(tendency, ctx.zw)
-        return tendency, np.inf
-    # The Jacobian comes first, so the tendency is not alive during its peak.
-    jhat, grad = dealiased_product(ctx, psi, u, maxima=cfl)
-    tendency = -ctx.beta * deriv_x(ctx, psi)
-    tendency -= jhat
-    del jhat
-    remove_mean(tendency, ctx.zw)
-    return tendency, _cfl_limit(ctx, *grad) if cfl else np.inf
+    grads = []
+    # One block is one pass over the whole field, with no reduction of maxima.
+    for blk in (slice(None),) if linear_only or len(ctx.blocks) == 1 else ctx.blocks:
+        part = psi[blk]
+        jhat, grad = (None, None) if linear_only else block_product(ctx, part, u[blk], cfl)
+        np.multiply(ctx.dx_mult, part, out=part)
+        np.multiply(-ctx.beta, part, out=part)
+        if jhat is not None:
+            np.subtract(part, jhat, out=part)
+        grads.append(grad)
+    remove_mean(psi, ctx.zw)
+    if linear_only or not cfl:
+        return psi, np.inf
+    # np.max, unlike max(), keeps a NaN of any block.
+    return psi, _cfl_limit(ctx, *(grads[0] if len(grads) == 1 else np.max(grads, axis=0)))
 
 
 def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
@@ -250,7 +254,7 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     return _xi_update(xi, lift_terms(ctx, *nonzero_columns(lift))[0], dt, ctx)
 
 
-def step(state: SimState, linear_only: bool = False) -> SimState:
+def step(state: SimState, linear_only: bool = False, *, _release: bool = False) -> SimState:
     """One IMEX step from t = n*dt to (n+1)*dt under the state's run.
 
     Predictor/corrector on the integrating-factor-transformed system:
@@ -258,45 +262,56 @@ def step(state: SimState, linear_only: bool = False) -> SimState:
     with E = e^{-nu lam dt} diagonal in the separable basis.  The corrector
     holds the OU part at the step's start, matching the sample-hold
     convention; the new state's lift takes the gridpoint it ends on.
+
+    ``_release`` is for ``simulate``, which drops the state this step
+    replaces: the state's ``u`` and ``lift`` are deleted after the predictor,
+    so the corrector's peak does not hold them.
     """
     run, dt, ctx = state.run, state.run.dt, state.run.ctx
     n1 = state.n + 1
     efac = run.efac
     c0 = state.modes
 
-    # Each field-sized temporary is dropped as soon as it is consumed.
+    # Every update writes into an array the step owns, with the operands in
+    # the order of the formula above, and each array goes after its last use.
     li, ki = run.forcing.support
     psi = from_modes(ctx, -ctx.inv_lam * c0)
     psi[:, li, ki] += state.lift
     r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
-    del psi
     if dt > limit:
         raise CFLViolation(dt, limit)
     n0_modes = to_modes(ctx, r0)
-    del r0
+    del psi, r0
+    xi1 = _xi_update(state.xi, state.vdual_liftx, dt, ctx)
+    if _release:
+        del state.__dict__["u"], state.__dict__["lift"]
 
-    c_pred = efac * (c0 + dt * n0_modes)
+    c_pred = np.multiply(dt, n0_modes)
+    np.add(c0, c_pred, out=c_pred)
+    np.multiply(efac, c_pred, out=c_pred)
     u_pred = from_modes(ctx, c_pred)
     remove_mean(u_pred, ctx.zw)
-    psi = from_modes(ctx, -ctx.inv_lam * c_pred)
+    np.multiply(-ctx.inv_lam, c_pred, out=c_pred)
+    psi = from_modes(ctx, c_pred)
     del c_pred
 
     # The stochastic coefficients are held over the whole step (the corrector
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.
-    lift1 = run.lift(n1, held=state.n)
-    psi[:, li, ki] += lift1
+    psi[:, li, ki] += run.lift(n1, held=state.n)
     r1, _ = _rhs(ctx, u_pred, psi, linear_only)
     del psi, u_pred
-
-    c1 = efac * c0 + 0.5 * dt * (efac * n0_modes + to_modes(ctx, r1))
-    del r1, n0_modes
+    np.multiply(efac, n0_modes, out=n0_modes)
+    np.add(n0_modes, to_modes(ctx, r1), out=n0_modes)
+    del r1
+    np.multiply(0.5 * dt, n0_modes, out=n0_modes)
+    c1 = np.multiply(efac, c0)
+    np.add(c1, n0_modes, out=c1)
+    del n0_modes
     u1 = from_modes(ctx, c1)
     del c1
     remove_mean(u1, ctx.zw)
-
-    xi1 = _xi_update(state.xi, state.vdual_liftx, dt, ctx)
 
     h2 = inner_h(ctx, u1, u1)
     if not np.isfinite(h2):
@@ -338,7 +353,8 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     They are stored as copies in ``SimResult.snapshots`` unless a
     ``snapshot_sink(t, u)`` is given; the sink is handed each snapshot when
     it is taken, must not modify ``u``, and the list then stays empty.
-    Only the current state is kept between steps.  Identical (path seed,
+    Only the current state is kept between steps, and each step drops the
+    state it replaces once its predictor is done.  Identical (path seed,
     config) inputs give bitwise-identical output.  The noise path must cover
     the lift of every state up to t1; that is checked before the first step.
     """
@@ -363,7 +379,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     terms = state.budget_terms if record_diagnostics else None
     for k in range(n_steps):
         t_prev = state.t
-        state = step(state, linear_only=linear_only)
+        state = step(state, linear_only=linear_only, _release=True)
         if record_diagnostics:
             start, terms = terms, state.budget_terms
             diagnostics.append(DiagnosticsRecord(
@@ -425,7 +441,7 @@ def save_snapshot(fname, grid: Grid, u: np.ndarray, t: float, n: int, dt: float,
     data = np.ascontiguousarray(u.transpose(1, 2, 0), dtype="<c16")  # mode-major
     with open(fname, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def load_snapshot(fname):

@@ -201,18 +201,18 @@ def dealiased_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray,
     depend on the blocks.
     """
     if len(ctx.blocks) == 1:
-        return _block_product(ctx, a, b, maxima)
+        return block_product(ctx, a, b, maxima)
     jhat = np.empty(a.shape, dtype=complex)
     grads = []
     for blk in ctx.blocks:
-        jhat[blk], grad = _block_product(ctx, a[blk], b[blk], maxima)
+        jhat[blk], grad = block_product(ctx, a[blk], b[blk], maxima)
         grads.append(grad)
     # np.max, unlike max(), keeps a NaN of any block.
     return jhat, tuple(float(g) for g in np.max(grads, axis=0)) if maxima else None
 
 
-def _block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool):
-    """``dealiased_product`` on the levels of a and b (all, or a block).
+def block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool):
+    """``dealiased_product`` on the levels of a and b (all, or one of ``ctx.blocks``).
 
     The two products are formed one at a time, so at most three physical
     fields of the block are alive at once.

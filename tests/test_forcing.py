@@ -406,7 +406,7 @@ class TestLiftAtStep:
         for n in range(n_min + 1, n_max + 1):
             for held in (n, n - 1):
                 state = init_ou_state(setup.model, path, (held // m) * path.dt_noise)
-                expect = lift_columns(setup, state, step_index=n + path.local_shift * m, dt=dt)
+                expect = lift_columns(setup, state.zeta, step_index=n + path.local_shift * m, dt=dt)
                 assert np.array_equal(run.lift(n, held=held), expect)
         assert np.array_equal(run.lift(n_min), run.lift(n_min, held=n_min))
 
@@ -465,7 +465,7 @@ class TestColumnLift:
         assert li.dtype == ki.dtype == np.intp
         assert list(zip(li, ki)) == sorted(set(zip(li, ki)))
         assert setup.basis.shape == (setup.model.n_modes + 1, grid.nz, len(li))
-        cols = lift_columns(setup, state, step_index=3, dt=H)
+        cols = lift_columns(setup, state.zeta, step_index=3, dt=H)
         dense = setup_lift(setup, state, step_index=3, dt=H)
         assert np.array_equal(dense[:, li, ki], cols)
         dense[:, li, ki] = 0.0
@@ -488,7 +488,7 @@ class TestColumnLift:
         for n in (0, 3):  # sin(2pi * 0.1) and sin(2pi * 0.2875): both nonzero
             dense = setup_lift(setup, state, step_index=n, dt=H)
             vdual, flux = lift_terms(ctx, setup.support,
-                                     lift_columns(setup, state, step_index=n, dt=H), u)
+                                     lift_columns(setup, state.zeta, step_index=n, dt=H), u)
             vdual_ref = norms(ctx, deriv_x(ctx, dense)).vdual
             flux_ref = inner_h(ctx, deriv_x(ctx, dense), u)
             assert abs(vdual - vdual_ref) <= 1e-14 * vdual_ref

@@ -52,7 +52,7 @@ from stochqg.operators import (
     norms,
     unit_eigenmode,
 )
-from stochqg.spectral import inverse_transform
+from stochqg.spectral import Grid, build_vertical_operator, inverse_transform, make_profile
 
 from conftest import random_field
 
@@ -298,6 +298,45 @@ class TestStepReport:
         assert np.array_equal(st.u, res.final.u)
         assert xis == [d.xi for d in res.diagnostics]
 
+    @pytest.mark.parametrize("linear_only", [False, True])
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("dt", [H, H / 4])
+    def test_simulate_matches_public_steps(self, ctx, grid, vop, dt, record, linear_only):
+        # simulate drops each state it replaces; its results are still those
+        # of public steps, which keep theirs: the final u and xi and every
+        # record, with each residual from energy_budget on the dense lifts.
+        setup, u0 = self._setup(ctx, grid, vop)
+        res = simulate(ctx, setup, u0, 0.0, 8 * dt, dt, linear_only=linear_only,
+                       record_diagnostics=record)
+        li, ki = setup.support
+
+        def dense(state):
+            lift = np.zeros_like(state.u)
+            lift[:, li, ki] = state.lift
+            return lift
+
+        st = initial_state(Run(ctx, setup, dt), u0, 0.0)
+        records = []
+        for _ in range(8):
+            nxt = step(st, linear_only=linear_only)
+            records.append(DiagnosticsRecord(
+                t=nxt.t, h=nxt.norms.h, v=nxt.norms.v, vdual_liftx=nxt.vdual_liftx, xi=nxt.xi,
+                residual=energy_budget(ctx, st, nxt, dense(st), dense(nxt)), dt=dt))
+            st = nxt
+        assert np.array_equal(res.final.u, st.u)
+        assert (res.final.n, res.final.xi) == (st.n, st.xi)
+        assert res.diagnostics == (records if record else [])
+
+    @pytest.mark.parametrize("dt", [H, H / 4])
+    def test_public_step_leaves_its_input_unchanged(self, ctx, grid, vop, dt):
+        setup, u0 = self._setup(ctx, grid, vop)
+        st = step(initial_state(Run(ctx, setup, dt), u0, 0.0))
+        kept = st.u.copy(), st.modes.copy(), st.lift.copy()
+        nxt = step(st)
+        for before, after in zip(kept, (st.u, st.modes, st.lift)):
+            assert np.array_equal(before, after)
+        assert np.array_equal(step(st).u, nxt.u)
+
     def test_replaced_field_steps_like_fresh_state(self, ctx, grid, vop):
         # The report made for the old u must not be used for the new one.
         setup, u0 = self._setup(ctx, grid, vop)
@@ -369,9 +408,9 @@ class TestFieldLifetimes:
         return _traced_peak(lambda: simulate(ctx, setup, u0, 0.0, n_steps * H, H, **kwargs))
 
     def test_simulate_peak_memory(self, ctx, grid, vop):
-        # About 10.5 fields at the corrector's Jacobian: the current state
-        # (u, its modes and lift, half a field of efac), the corrector's
-        # psi, u_pred and N0, and the Jacobian's four arrays.  Keeping the
+        # About 8.6 fields at the corrector's Jacobian: the replaced state's
+        # modes, the corrector's psi, u_pred and N0, half a field of efac
+        # and the Jacobian's four arrays.  Keeping the
         # previous report, the initial state, all four gradient fields or
         # one snapshot per step crosses the bound.
         field = grid.nz * grid.ny * grid.nkx * 16
@@ -392,6 +431,27 @@ class TestFieldLifetimes:
         listed, res = self._run(ctx, grid, vop, 16, snapshot_every=1)
         assert len(res.snapshots) == 17
         assert listed > every + 14 * field
+
+    @pytest.mark.parametrize("size, bound", [(128, 7.0), (32, 10.0)])
+    def test_step_memory_budget(self, size, bound):
+        # At the corrector's Jacobian a step holds c0, N0, u_pred and psi,
+        # which takes over the tendency, besides half a field of efac and the
+        # first snapshot: 5.5 fields and the Jacobian's work.  That work is
+        # one block of levels on the level-blocked 128x128x17 grid (6.5
+        # fields in all) and four whole-field arrays on the one-block
+        # 32x32x17 grid (9.4).  A step that keeps the replaced state's u, a
+        # whole-field J or a temporary per Heun operation crosses the bound.
+        grid = Grid(nx=size, ny=size, nz=17)
+        vop = build_vertical_operator(make_profile(1.0, 1.0, grid.nz), grid.nz)
+        ctx = build_context(grid, vop, nu=0.5, beta=1.0)
+        assert (len(ctx.blocks) > 1) == (size == 128)
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=11)
+        u0 = 0.2 * random_field(ctx, np.random.default_rng(48), decay=2.0)
+        simulate(ctx, setup, u0, 0.0, 2 * H, H)  # warm-up: first-call allocations
+        peak, res = _traced_peak(lambda: simulate(ctx, setup, u0, 0.0, 2 * H, H))
+        field = u0.nbytes
+        assert len(res.diagnostics) == 2
+        assert peak <= bound * field, peak / field
 
 
 _THREAD_RUN = r"""

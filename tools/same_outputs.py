@@ -10,6 +10,9 @@ removed afterwards.  Each producer runs once per tree, with that tree's
 the tool prints its name, its sha256 under REV and under this checkout
 (working-tree files, committed or not), and whether the two are equal.  The
 exit code is 1 when any output differs or is missing in one tree, else 0.
+After the outputs it prints each workload's seed-1 ``peak_rss_mb`` under
+both trees, read from the result line of ``bench/run.py``; that value is
+shown for information and is not compared.
 
 Producers:
 
@@ -68,6 +71,7 @@ class Tree:
         self.scratch = scratch
         self.env = dict(os.environ, PYTHONPATH=str(root / "src"),
                         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        self.peak_rss_mb = {}  # workload -> seed-1 peak_rss_mb, not an output
 
     def run(self, args, cwd: Path) -> tuple[int, str]:
         proc = subprocess.run(args, cwd=cwd, env=self.env, capture_output=True, text=True)
@@ -97,9 +101,12 @@ class Tree:
                 code, stdout = self.run([py, "bench/run.py", "--workload", workload,
                                          "--seed", str(seed), "--seconds", "1"], self.root)
                 lines = stdout.splitlines()
+                ok = code == 0 and len(lines) >= 2
                 out[f"bench {workload} seed {seed} digest"] = (
-                    json.loads(lines[-2])["digest"] if code == 0 and len(lines) >= 2
-                    else f"failed (exit {code})")
+                    json.loads(lines[-2])["digest"] if ok else f"failed (exit {code})")
+                if ok and seed == 1:
+                    metrics = json.loads(lines[-1])["metrics"]
+                    self.peak_rss_mb[workload] = metrics["peak_rss_mb"]["value"]
 
         readme = self.workdir("readme")
         script = f'stochqg() {{ "{py}" -m stochqg.cli "$@"; }}\n' + _readme_example()
@@ -133,9 +140,9 @@ def main(argv=None) -> int:
         other = tmp / "against"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(other), args.against], check=True)
+        trees = Tree(other, tmp / "run-against"), Tree(ROOT, tmp / "run-this")
         try:
-            theirs = Tree(other, tmp / "run-against").outputs()
-            ours = Tree(ROOT, tmp / "run-this").outputs()
+            theirs, ours = (tree.outputs() for tree in trees)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(other)], check=False)
@@ -147,6 +154,11 @@ def main(argv=None) -> int:
         a, b = theirs.get(name, "missing"), ours.get(name, "missing")
         differ += a != b
         print(f"{name:<44} {a:<64} {b:<64} {'yes' if a == b else 'NO'}")
+    for workload in WORKLOADS:
+        a, b = (f"{tree.peak_rss_mb[workload]:.1f}" if workload in tree.peak_rss_mb
+                else "missing" for tree in trees)
+        print(f"peak_rss_mb {workload} seed 1 (not compared): {a} MB under "
+              f"{args.against[:12]}, {b} MB in this checkout")
     print(f"same_outputs: {len(names) - differ} equal, {differ} differ, "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if differ else 0

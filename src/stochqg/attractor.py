@@ -53,8 +53,6 @@ class PullbackConfig:
             raise ValueError("leading_modes must be at least 1")
         if self.sampling_rule not in ("sphere", "ball"):
             raise ValueError(f"unknown sampling rule {self.sampling_rule!r}")
-        if not 0.0 <= self.phase < 1.0:
-            raise ValueError("phase must lie in [0, 1)")
 
 
 @dataclass
@@ -85,12 +83,12 @@ def default_quad_horizon(ctx: OperatorContext) -> float:
     return 20.0 / (ctx.nu * ctx.lambda1)
 
 
-def _quad_steps(ctx: OperatorContext, quad_horizon: float | None, dt: float) -> int:
-    """Steps of dt in the xi* quadrature window (default horizon 20/(nu lam1))."""
-    rate = ctx.nu * ctx.lambda1
-    horizon = default_quad_horizon(ctx) if quad_horizon is None else float(quad_horizon)
-    if horizon < 10.0 / rate:
-        raise ValueError(f"quad_horizon must be at least 10/(nu lam1) = {10.0 / rate:g}")
+def quad_steps(rate: float, quad_horizon: float | None, dt: float) -> int:
+    """Steps of dt in the xi* window at rate nu lam1: horizon 20/rate by default, >= 10/rate."""
+    horizon = 20.0 / rate if quad_horizon is None else float(quad_horizon)
+    if not horizon * rate >= 10.0:
+        raise ValueError(f"quad_horizon {horizon:g} must be at least 10/(nu lam1), "
+                         f"nu lam1 = {rate:g}")
     return int(np.ceil(horizon / dt))
 
 
@@ -103,7 +101,7 @@ def pullback_window(config: PullbackConfig, ctx: OperatorContext, dt: float,
     its members then run to 0.
     """
     m = steps_per_noise(dt, dt_noise)
-    n = _quad_steps(ctx, config.quad_horizon, dt)
+    n = quad_steps(ctx.nu * ctx.lambda1, config.quad_horizon, dt)
     first = min((grid_steps(-T, dt, f"horizon {T}") - n) // m for T in config.horizons)
     return first * dt_noise, 0.0
 
@@ -119,7 +117,7 @@ def estimate_xi_star(ctx: OperatorContext, forcing: ForcingSetup, at: float,
     if dt is None:
         dt = forcing.path.dt_noise
     rate = ctx.nu * ctx.lambda1
-    n = _quad_steps(ctx, quad_horizon, dt)
+    n = quad_steps(rate, quad_horizon, dt)
     horizon = n * dt
     n_at = grid_steps(at, dt, "quadrature endpoint")
 
@@ -156,10 +154,8 @@ def leading_real_modes(ctx: OperatorContext, count: int) -> list[tuple[int, int,
     """
     grid = ctx.grid
     mu = ctx.vop.mu
+    grid.check_mode_count(count)
     plane = grid.half_plane()
-    n_total = grid.nz * (2 * len(plane) - 1) - 1  # (0, 0) has only cos; (0, 0, 0) is out
-    if not 1 <= count <= n_total:
-        raise ValueError(f"mode count {count} outside [1, {n_total}] (the resolvable modes)")
     # The m = 0 modes: lam = k^2 + l^2 exactly, one cos and one sin per (k, l).
     flat = sorted(k * k + l * l for k, l in plane if (k, l) != (0, 0))
     bound = flat[(count - 1) // 2] if count <= 2 * len(flat) else np.inf

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .attractor import (
-    PullbackConfig,
     cocycle_check,
     flow_estimate,
     growth_diagnostic,
@@ -31,15 +30,15 @@ from .config import (
     ConfigError,
     SimConfig,
     config_hash,
-    horizon_list,
     n_table,
     normalize_config,
     parse_config,
+    periodic_flux,
+    pullback_config,
 )
 from .forcing import (
     ForcingSetup,
     NoisePath,
-    PeriodicFlux,
     build_forcing,
     extend_noise_path,
     load_noise_path,
@@ -50,11 +49,11 @@ from .forcing import (
 from .integrator import (
     BlowupError,
     CFLViolation,
+    Run,
     save_snapshot,
     simulate,
     write_diagnostics_csv,
 )
-from .lift import BoundaryFlux, BoundaryMode, mode_flux
 from .operators import build_context, unit_eigenmode
 from .selfcheck import run_battery
 from .spectral import Grid, build_vertical_operator, make_profile
@@ -79,9 +78,7 @@ def _check_noise_file(path: NoisePath, cfg: SimConfig) -> None:
 
 def build_runtime(cfg: SimConfig) -> Runtime:
     grid = Grid(nx=cfg.nx, ny=cfg.ny, nz=cfg.nz)
-    table = n_table(cfg)
-    profile = make_profile(cfg.f0, table[0] if table.size == 1 else table, cfg.nz)
-    vop = build_vertical_operator(profile, cfg.nz)
+    vop = build_vertical_operator(make_profile(cfg.f0, n_table(cfg), cfg.nz), cfg.nz)
     ctx = build_context(grid, vop, nu=cfg.nu, beta=cfg.beta)
 
     if cfg.noise_file:
@@ -91,14 +88,7 @@ def build_runtime(cfg: SimConfig) -> Runtime:
         path = make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise,
                                cfg.noise_t_min, cfg.noise_t_max)
     model = make_noise_model(grid, cfg.n_modes, q0=cfg.q0, p=cfg.p, tau_c=cfg.tau_c)
-
-    if cfg.amplitude != 0.0 and (cfg.mode_k, cfg.mode_l) == (0, 0):
-        raise ConfigError(["periodic.mode must not be (0, 0) (mean-zero flux)"])
-    mode = BoundaryMode(cfg.mode_k ** 2 + cfg.mode_l ** 2, cfg.mode_k, cfg.mode_l, 0)
-    coef = cfg.amplitude * mode_flux(grid, mode).coef
-    periodic = PeriodicFlux(BoundaryFlux(coef), phase=cfg.phase)
-
-    forcing = build_forcing(grid, vop, model, periodic, path)
+    forcing = build_forcing(grid, vop, model, periodic_flux(cfg, grid), path)
     return Runtime(cfg=cfg, grid=grid, ctx=ctx, forcing=forcing, chash=config_hash(cfg))
 
 
@@ -141,13 +131,6 @@ def cmd_simulate(rt: Runtime) -> int:
     return 0
 
 
-def _pullback_config(cfg: SimConfig) -> PullbackConfig:
-    return PullbackConfig(horizons=tuple(horizon_list(cfg)), ensemble=cfg.ensemble,
-                          sampling_rule=cfg.sampling_rule, leading_modes=cfg.leading_modes,
-                          phase=cfg.phase, seed=cfg.seed,
-                          quad_horizon=cfg.quad_horizon or None)
-
-
 def _growth_plan(t_max: float, dt: float) -> tuple[int, float] | None:
     """(steps per record, end time) of the growth flow from 0, or None.
 
@@ -167,7 +150,7 @@ def preflight_pullback(rt: Runtime) -> Runtime:
     noise file that falls short raises ConfigError.
     """
     cfg, path = rt.cfg, rt.forcing.path
-    t_lo, t_hi = pullback_window(_pullback_config(cfg), rt.ctx, cfg.dt, path.dt_noise)
+    t_lo, t_hi = pullback_window(pullback_config(cfg), rt.ctx, cfg.dt, path.dt_noise)
     growth = _growth_plan(path.t_max, cfg.dt)
     if growth is not None:
         t_hi = max(t_hi, growth[1])
@@ -183,7 +166,7 @@ def preflight_pullback(rt: Runtime) -> Runtime:
 def cmd_pullback(rt: Runtime) -> int:
     cfg = rt.cfg
     out = _outdir(rt)
-    est = pullback_run(_pullback_config(cfg), rt.ctx, rt.forcing, cfg.dt)
+    est = pullback_run(pullback_config(cfg), rt.ctx, rt.forcing, cfg.dt)
 
     # Growth slope from flowing the largest-horizon estimate forward over
     # whatever the path still covers, with >= 50 recorded times.
@@ -214,6 +197,10 @@ def cmd_pullback(rt: Runtime) -> int:
 
 def cmd_cocycle_check(rt: Runtime) -> int:
     cfg = rt.cfg
+    try:  # the first leg runs from 0 to s + t
+        Run(rt.ctx, rt.forcing, cfg.dt).end_step(cfg.cocycle_s + cfg.cocycle_t)
+    except ValueError as exc:
+        raise ValueError(f"cocycle.s + cocycle.t: {exc}") from None
     u0 = initial_field(rt)
     dev = cocycle_check(rt.ctx, rt.forcing, cfg.cocycle_s, cfg.cocycle_t, u0, cfg.dt)
     print(f"cocycle-check: s={cfg.cocycle_s} t={cfg.cocycle_t} deviation={dev:.3e}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -90,14 +90,17 @@ def make_noise_model(grid: Grid, n_modes: int, q0: float, p: float, tau_c: float
     if q0 < 0.0:
         raise ValueError("q0 must be nonnegative")
     modes = tuple(boundary_modes(grid, n_modes))
-    q = np.array([q0 * (1.0 + m.kh2) ** (-p) for m in modes])
+    try:
+        q = np.array([q0 * (1.0 + m.kh2) ** (-p) for m in modes])
+    except OverflowError:
+        raise ValueError(f"covariance weights q0 (1 + kh2)^(-p) overflow at p={p}") from None
     return NoiseModel(n_modes=n_modes, q0=float(q0), p=float(p), tau_c=float(tau_c),
                       modes=modes, q=q)
 
 
 @dataclass(frozen=True)
 class PeriodicFlux:
-    """Deterministic top-face flux u0 * sin(2pi (t + phase)), period 1."""
+    """Deterministic top-face flux u0 * sin(2pi (t + phase)), period 1, phase in [0, 1)."""
 
     u0: BoundaryFlux
     phase: float = 0.0
@@ -105,6 +108,8 @@ class PeriodicFlux:
     def __post_init__(self):
         if self.u0.coef[0, 0] != 0.0:
             raise ValueError("periodic flux amplitude must be mean-zero")
+        if not 0.0 <= self.phase < 1.0:
+            raise ValueError("phase must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -193,10 +198,7 @@ def make_noise_path(seed: int, n_modes: int, dt_noise: float, t_min: float, t_ma
 
 def shift_path(path: NoisePath, s: float) -> NoisePath:
     """theta_s: relabel local time so that local t reads absolute t + s."""
-    js = grid_steps(s, path.dt_noise, "shift s")
-    out = NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
-                    i0_abs=path.i0_abs, n_steps=path.n_steps,
-                    local_shift=path.local_shift + js, _stored=path._stored)
+    out = replace(path, local_shift=path.local_shift + grid_steps(s, path.dt_noise, "shift s"))
     object.__setattr__(out, "_cache", path._cache)  # same increments and OU states
     return out
 
@@ -217,9 +219,7 @@ def extend_noise_path(path: NoisePath, t_min: float, t_max: float) -> NoisePath:
         inc = out._generate(i0, i1 - i0)
         lo = path.i0_abs - i0
         inc[:, lo:lo + path.n_steps] = path._stored
-        return NoisePath(seed=path.seed, n_modes=path.n_modes, dt_noise=path.dt_noise,
-                         i0_abs=i0, n_steps=i1 - i0, local_shift=path.local_shift,
-                         _stored=inc)
+        return replace(out, _stored=inc)
     return out
 
 

@@ -115,6 +115,14 @@ class Run:
         for name, value in (("m", m), ("first", i0 * m), ("last", last)):
             object.__setattr__(self, name, value)
 
+    def end_step(self, t1: float) -> int:
+        """The step of t1, which must not lie beyond the path."""
+        n1 = grid_steps(t1, self.dt, "t1")
+        if n1 > self.last:
+            raise ValueError(f"t1={t1} lies beyond the noise path, which covers "
+                             f"t <= {self.last * self.dt}")
+        return n1
+
     @functools.cached_property
     def efac(self) -> np.ndarray:
         return np.exp(-self.ctx.nu * self.ctx.lam * self.dt)
@@ -361,9 +369,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
     run = Run(ctx, forcing, dt)
-    n1 = grid_steps(t1, dt, "t1")
-    if n1 > run.last:
-        raise ValueError(f"t1={t1} lies beyond the noise path, which covers t <= {run.last * dt}")
+    n1 = run.end_step(t1)
     state = initial_state(run, u0, t0)
     del u0  # the state holds its own copy
     n_steps = n1 - state.n

@@ -15,6 +15,7 @@ before sine.  The noise covariance acts diagonally on this basis.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,12 @@ class BoundaryMode:
 
 def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
     """The first n_modes real boundary-basis modes inside the dealias band."""
-    modes = sorted(BoundaryMode(k * k + l * l, k, l, phase)
-                   for k, l in grid.half_plane() if (k, l) != (0, 0)
-                   for phase in (0, 1))
-    if n_modes > len(modes):
-        raise ValueError(f"requested {n_modes} boundary modes, only {len(modes)} available")
-    return modes[:n_modes]
+    # BoundaryMode orders by its fields, so the smallest field tuples are the first modes.
+    keys = [(k * k + l * l, k, l, phase) for k, l in grid.half_plane() if (k, l) != (0, 0)
+            for phase in (0, 1)]
+    if not 0 <= n_modes <= len(keys):
+        raise ValueError(f"boundary mode count {n_modes} outside [0, {len(keys)}] (in band)")
+    return [BoundaryMode(*key) for key in heapq.nsmallest(n_modes, keys)]
 
 
 def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:

@@ -377,11 +377,7 @@ def unit_eigenmode(ctx: OperatorContext, m: int, l: int, k: int, kind: str = "co
     the excluded constant.
     """
     grid = ctx.grid
-    if not 0 <= m < grid.nz:
-        raise ValueError(f"m out of range [0, nz = {grid.nz})")
-    grid.check_column(l, k)
-    if (m, l, k) == (0, 0, 0):
-        raise ValueError("(0, 0, 0) is the excluded null mode")
+    grid.check_mode(m, l, k)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
     u = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)

@@ -35,7 +35,7 @@ class StratificationProfile:
     """Coriolis parameter f0 and buoyancy frequency N(z) on the levels.
 
     F(z) = f0^2 / N(z)^2 is the vertical coefficient of the stratified
-    Laplacian.  N must be positive and finite at every level.
+    Laplacian.  N and F must be positive and finite at every level.
     """
 
     f0: float
@@ -50,8 +50,11 @@ class StratificationProfile:
             raise ValueError("N(z) must be positive and finite at every level")
         if self.f0 == 0.0:
             raise ValueError("f0 must be nonzero")
+        f = (self.f0 / n) ** 2
+        if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
+            raise ValueError("F(z) = (f0/N)^2 must be positive and finite")
         object.__setattr__(self, "n_of_z", n)
-        object.__setattr__(self, "f_of_z", (self.f0 / n) ** 2)
+        object.__setattr__(self, "f_of_z", f)
 
     @property
     def nz(self) -> int:
@@ -67,13 +70,12 @@ def level_quadrature(nz: int) -> tuple[float, np.ndarray]:
 
 
 def make_profile(f0: float, n_of_z, nz: int) -> StratificationProfile:
-    """Build a profile from a constant N or a per-level table."""
-    if np.isscalar(n_of_z):
-        n = np.full(nz, float(n_of_z))
-    else:
-        n = np.asarray(n_of_z, dtype=float)
-        if n.size != nz:
-            raise ValueError(f"N table has {n.size} entries, expected nz={nz}")
+    """Build a profile from a constant N (a scalar or a 1-entry table) or a per-level table."""
+    n = np.atleast_1d(np.asarray(n_of_z, dtype=float))
+    if n.size == 1:
+        n = np.full(nz, n[0])
+    elif n.size != nz:
+        raise ValueError(f"N table has {n.size} entries, expected nz={nz}")
     return StratificationProfile(f0=float(f0), n_of_z=n)
 
 
@@ -150,6 +152,20 @@ class Grid:
         if not 0 <= k < self.nkx - 1:
             raise ValueError(f"k out of range (0 <= k < nx/2 = {self.nx // 2}, Nyquist excluded)")
 
+    def check_mode(self, m: int, l: int, k: int) -> None:
+        """Raise unless 0 <= m < nz, (l, k) passes ``check_column`` and (m, l, k) != (0, 0, 0)."""
+        if not 0 <= m < self.nz:
+            raise ValueError(f"m out of range [0, nz = {self.nz})")
+        self.check_column(l, k)
+        if (m, l, k) == (0, 0, 0):
+            raise ValueError("(0, 0, 0) is the excluded null mode")
+
+    def check_mode_count(self, count: int) -> None:
+        """Raise unless 1 <= count <= the number of resolvable real eigenmodes."""
+        n_total = self.nz * (2 * len(self.half_plane()) - 1) - 1  # (0, 0): no sine; no (0, 0, 0)
+        if not 1 <= count <= n_total:
+            raise ValueError(f"mode count {count} outside [1, {n_total}] (the resolvable modes)")
+
     def half_plane(self) -> list[tuple[int, int]]:
         """(k, l) of the dealias band with k > 0, or k == 0 and l >= 0.
 
@@ -212,13 +228,9 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
     an exact constant nullvector; the boundary rows are the ghost-point Neumann
     closure of the conservative stencil.
     """
-    if nz < 5:
-        raise ValueError("nz must be >= 5")
     if profile.nz != nz:
         raise ValueError(f"profile has {profile.nz} levels, expected {nz}")
     F = profile.f_of_z
-    if np.any(F <= 0.0) or not np.all(np.isfinite(F)):
-        raise ValueError("F(z) must be positive and finite")
 
     dz, w = level_quadrature(nz)
     fh = 0.5 * (F[:-1] + F[1:])        # F at half levels
@@ -234,10 +246,7 @@ def build_vertical_operator(profile: StratificationProfile, nz: int) -> Vertical
     m_diag = a_diag / w
     m_off = a_off / (sqrtw[:-1] * sqrtw[1:])
 
-    try:
-        mu, yhat = eigh_tridiagonal(m_diag, m_off)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise RuntimeError(f"vertical eigensolver failed: {exc}") from exc
+    mu, yhat = eigh_tridiagonal(m_diag, m_off)
     mu = np.maximum(mu, 0.0)
     mu[0] = 0.0
     # Fix eigenvector signs deterministically (largest entry positive).
@@ -295,17 +304,13 @@ def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
     return _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2), norm="forward")
 
 
-def _flip_index(n: int) -> np.ndarray:
-    """Index map l -> -l mod n for an fft axis."""
-    return (-np.arange(n)) % n
-
-
 def hermitian_defect(grid: Grid, fhat: np.ndarray) -> float:
     """Max deviation from the reality constraint on the self-conjugate columns."""
+    flip = (-np.arange(grid.ny)) % grid.ny  # l -> -l mod ny
     d = 0.0
     for col in (0, grid.nkx - 1):
         c = fhat[:, :, col]
-        d = max(d, float(np.max(np.abs(c - np.conj(c[:, _flip_index(grid.ny)])))))
+        d = max(d, float(np.max(np.abs(c - np.conj(c[:, flip])))))
     return d
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochqg import integrator
+from stochqg import cli, integrator
 from stochqg.cli import build_runtime, initial_field, main
 from stochqg.config import (
     ConfigError,
@@ -87,9 +87,11 @@ class TestParseConfig:
     def test_mode_counts_reported_with_other_violations(self):
         with pytest.raises(ConfigError) as err:
             parse_config("physics.nu = 0\ninit.modes = 0\npullback.leading_modes = -1\n")
-        assert err.value.violations == ["viscosity must be positive",
-                                         "init.modes must be at least 1",
-                                         "pullback.leading_modes must be at least 1"]
+        assert err.value.violations == [
+            "viscosity must be positive",
+            "pullback.horizons, pullback.ensemble, pullback.sampling_rule, "
+            "pullback.leading_modes: leading_modes must be at least 1",
+            "init.modes: mode count 0 outside [1, 7496] (the resolvable modes)"]
 
     def test_round_trip(self):
         cfg = parse_config("grid.nx = 16\nphysics.nu = 1.25\nnoise.q0 = 0.125\n"
@@ -252,7 +254,9 @@ class TestCLI:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
-        assert f"{key} must be at least 1" in record["message"]
+        assert {"init.modes": "init.modes: mode count 0 outside [1, 7496]",
+                "pullback.leading_modes": "pullback.leading_modes: leading_modes must be "
+                                          "at least 1"}[key] in record["message"]
 
     @pytest.mark.parametrize("index", ["init.m=17", "init.m=-1", "init.l=33", "init.l=16",
                                        "init.l=-16"])
@@ -263,8 +267,8 @@ class TestCLI:
         assert "Traceback" not in out.stderr
         assert out.returncode == 1
         record = json.loads(out.stderr.strip().splitlines()[-1])
-        assert record["error"] == "invalid-request"
-        assert f"{index[5]} out of range" in record["message"]
+        assert record["error"] == "config"
+        assert f"init.m, init.l, init.k: {index[5]} out of range" in record["message"]
 
     @pytest.mark.parametrize("index", ["periodic.mode_k=40", "periodic.mode_k=16",
                                        "periodic.mode_k=-1", "periodic.mode_l=16",
@@ -277,8 +281,9 @@ class TestCLI:
         assert "Traceback" not in out.stderr
         assert out.returncode == 1
         record = json.loads(out.stderr.strip().splitlines()[-1])
-        assert record["error"] == "setup"
-        assert f"{index[14]} out of range" in record["message"]
+        assert record["error"] == "config"
+        assert f"periodic.mode_k, periodic.mode_l, periodic.amplitude, periodic.phase: " \
+               f"{index[14]} out of range" in record["message"]
 
     @pytest.mark.parametrize("command, key", [("simulate", "time.t1"),
                                               ("simulate", "noise.t_max"),
@@ -324,6 +329,12 @@ class TestCLI:
         assert record["error"] == "invalid-request"
         assert f"t1={t1} lies beyond the noise path, which covers t <= 16.0" in record["message"]
         assert list(tmp_path.glob("snapshot_*.bin")) == []
+
+    def test_cocycle_end_beyond_path_names_its_keys(self, tmp_path, capsys):
+        rc = main(["cocycle-check", "--set", f"output.dir={tmp_path}", "--set", "cocycle.t=100"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"].startswith("cocycle.s + cocycle.t: t1=101.0 lies beyond")
 
     def test_t0_before_path_names_the_requested_time(self, tmp_path, capsys):
         # At dt = dt_noise/4 the message names t0, not the noise gridpoint -64.0625.
@@ -478,3 +489,77 @@ class TestCLI:
         assert record["error"] == "config"
         assert "covers [-64.0, 16.0], the pullback plan needs [-184.5, 15.625]" in record["message"]
         assert not (tmp_path / "pb").exists()
+
+
+# Every integer key at -1, 0, its bound and bound + 1, with the settings that make its rule
+# apply, on the FAST settings' 32x32x17 grid: there 440 boundary modes lie in band and
+# 7496 real eigenmodes are resolvable.  key -> (extra settings, bound, accepts(value)).
+INT_KEYS = {
+    "grid.nx": ({}, 8, lambda v: v >= 8 and v % 2 == 0),
+    "grid.ny": ({}, 8, lambda v: v >= 8 and v % 2 == 0),
+    "grid.nz": ({}, 5, lambda v: v >= 5),
+    "noise.n_modes": ({}, 440, lambda v: 0 <= v <= 440),
+    # with periodic.mode_l = 0, mode_k = 0 is the excluded (0, 0) mode
+    "periodic.mode_k": ({"periodic.amplitude": 0.5}, 15, lambda v: 1 <= v <= 15),
+    "periodic.mode_l": ({"periodic.amplitude": 0.5}, 15, lambda v: -15 <= v <= 15),
+    "time.snapshot_every": ({}, 0, lambda v: v >= 0),
+    "init.m": ({"init.kind": "eigenmode"}, 16, lambda v: 0 <= v <= 16),
+    "init.l": ({"init.kind": "eigenmode"}, 15, lambda v: -15 <= v <= 15),
+    "init.k": ({"init.kind": "eigenmode"}, 15, lambda v: 0 <= v <= 15),
+    "init.modes": ({"init.kind": "random"}, 7496, lambda v: 1 <= v <= 7496),
+    "seed": ({}, (1 << 63) - 1, lambda v: 0 <= v < 1 << 63),
+    "pullback.ensemble": ({}, 8, lambda v: v >= 8),
+    "pullback.leading_modes": ({}, 7496, lambda v: 1 <= v <= 7496),
+}
+MATRIX = [({**extra, key: value}, None if accepts(value) else key)
+          for key, (extra, bound, accepts) in INT_KEYS.items()
+          for value in sorted({-1, 0, bound, bound + 1})]
+# Settings whose rule a set-up function owns (it needs the grid, lambda1 or the noise model),
+# some of which `simulate` never reads; each is rejected at parse time all the same.
+SETUP_RULES = [({"noise.n_modes": 1000}, "noise.n_modes"),
+               ({"pullback.leading_modes": 100000}, "pullback.leading_modes"),
+               ({"pullback.quad_horizon": 1}, "pullback.quad_horizon"),
+               ({"init.kind": "eigenmode", "init.m": 17}, "init.m"),
+               ({"periodic.amplitude": 1, "periodic.mode_k": 40}, "periodic.mode_k"),
+               ({"noise.t_min": -32.03}, "noise.t_min"),
+               ({"noise.p": -1000}, "noise.p")]  # 3 ** 1000 overflows a covariance weight
+
+
+class TestInvalidInputMatrix:
+    """An invalid value exits 1 at parse time with a `config` record naming its key."""
+
+    def _run(self, tmp_path, capsys, monkeypatch, settings):
+        built = []
+        build = cli.build_runtime
+        monkeypatch.setattr(cli, "build_runtime", lambda cfg: built.append(1) or build(cfg))
+        base = dict(item.split("=", 1) for item in FAST[1::2])
+        out = tmp_path / "out"
+        args = ["simulate", "--set", f"output.dir={out}", "--set", "time.t1=0.5"]
+        for key, value in {**base, **settings}.items():
+            args += ["--set", f"{key}={value}"]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2) and "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1]) if rc else None
+        return rc, record, built, out
+
+    @pytest.mark.parametrize("settings, key", MATRIX,
+                             ids=[",".join(f"{k}={v}" for k, v in s.items()) for s, _ in MATRIX])
+    def test_integer_key(self, tmp_path, capsys, monkeypatch, settings, key):
+        rc, record, built, out = self._run(tmp_path, capsys, monkeypatch, settings)
+        if key is None:
+            assert rc == 0
+            return
+        assert rc == 1 and record["exit_code"] == 1
+        assert record["error"] == "config" and key in record["message"]
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("with_nu", [False, True], ids=["alone", "with nu=0"])
+    @pytest.mark.parametrize("settings, key", SETUP_RULES, ids=[key for _, key in SETUP_RULES])
+    def test_setup_rule_fails_at_parse(self, tmp_path, capsys, monkeypatch, settings, key,
+                                         with_nu):
+        settings = {**settings, "physics.nu": 0} if with_nu else settings
+        rc, record, built, out = self._run(tmp_path, capsys, monkeypatch, settings)
+        assert rc == 1 and record["error"] == "config" and key in record["message"]
+        assert ("viscosity must be positive" in record["message"]) == with_nu
+        assert built == [] and not out.exists()

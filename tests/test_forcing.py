@@ -56,6 +56,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             make_noise_model(grid, 4, q0=-1.0, p=3.0, tau_c=1.0)
 
+    def test_negative_mode_count_rejected(self, grid):
+        with pytest.raises(ValueError, match="boundary mode count -1"):
+            make_noise_model(grid, -1, q0=1.0, p=3.0, tau_c=0.5)
+
+    def test_overflowing_weights_rejected(self, grid):
+        # 3 ** 1000 overflows a double: the weight of the kh2 = 2 modes.
+        with pytest.raises(ValueError, match="overflow at p=-1000"):
+            make_noise_model(grid, 8, q0=1.0, p=-1000.0, tau_c=0.5)
+
 
 class TestNoisePath:
     def test_reproducible(self):
@@ -507,6 +516,11 @@ class TestPeriodicFactor:
         p = round(1 / dt)
         for n in (-3, 0, 5, 11):
             assert periodic_factor(per, n, dt) == periodic_factor(per, n + p, dt)
+
+    @pytest.mark.parametrize("phase", [-0.25, 1.0, 1.5])
+    def test_phase_outside_unit_interval_rejected(self, phase):
+        with pytest.raises(ValueError, match=r"phase must lie in \[0, 1\)"):
+            PeriodicFlux(BoundaryFlux(np.zeros((4, 3), dtype=complex)), phase=phase)
 
     def test_matches_sin(self):
         per = PeriodicFlux(BoundaryFlux(np.zeros((4, 3), dtype=complex)), phase=0.0)

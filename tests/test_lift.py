@@ -139,6 +139,21 @@ class TestBoundaryModes:
         with pytest.raises(ValueError):
             boundary_modes(grid, 10_000)
 
+    @pytest.mark.parametrize("n_modes", [-1, 441])
+    def test_count_outside_band_rejected(self, grid, n_modes):
+        # 440 real modes lie in the 32x32 dealias band.
+        with pytest.raises(ValueError, match=f"boundary mode count {n_modes} outside \\[0, 440\\]"):
+            boundary_modes(grid, n_modes)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 5), (16, 48, 9), (32, 32, 17)])
+    def test_prefix_of_the_sorted_basis(self, shape):
+        grid = Grid(*shape)
+        every = sorted(BoundaryMode(k * k + l * l, k, l, phase) for k, l in grid.half_plane()
+                       if (k, l) != (0, 0) for phase in (0, 1))
+        for n in (0, 1, 2, 7, 8, 9, 40, len(every) // 2, len(every)):
+            if n <= len(every):
+                assert boundary_modes(grid, n) == every[:n]
+
 
 class TestPrecomputedLifts:
     def test_residual_invariant(self, grid, vop):

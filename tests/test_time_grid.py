@@ -80,7 +80,8 @@ SITES = {
                           -40.5, -324, -40.55, "t_min"),
     "load_noise_path": (_load_with_t_min, -8.0, -64, -8.03, "header t_min"),
     "steps_per_noise": (lambda e, t: steps_per_noise(DT / 4, t), DT, 4, 0.14, "must divide"),
-    "validate_config": (_steps_per_noise_from_config, DT, 4, 0.14, "time.dt must divide"),
+    "validate_config": (_steps_per_noise_from_config, DT, 4, 0.14,
+                        "time.dt, noise.dt_noise: dt must divide"),
     "initial_state": (lambda e, t: initial_state(Run(e.ctx, e.forcing, DT), e.zero, t).n,
                       1.5, 12, 1.55, "t0"),
     "simulate": (lambda e, t: simulate(e.ctx, e.forcing, e.zero, 0.0, t, DT,

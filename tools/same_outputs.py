@@ -10,9 +10,9 @@ removed afterwards.  Each producer runs once per tree, with that tree's
 the tool prints its name, its sha256 under REV and under this checkout
 (working-tree files, committed or not), and whether the two are equal.  The
 exit code is 1 when any output differs or is missing in one tree, else 0.
-After the outputs it prints each workload's seed-1 ``peak_rss_mb`` under
-both trees, read from the result line of ``bench/run.py``; that value is
-shown for information and is not compared.
+After the outputs it prints each workload's seed-1 ``peak_rss_mb`` and
+``setup_s`` under both trees, read from the result line of ``bench/run.py``;
+those values are shown for information and are not compared.
 
 Producers:
 
@@ -47,6 +47,8 @@ SEEDS = (1, 2, 3)
 DT4_RUN = ("simulate", "--set", "time.dt=0.015625", "--set", "time.t1=1",
            "--set", "init.kind=random", "--set", "periodic.amplitude=0.5",
            "--set", "time.snapshot_every=16", "--set", "output.dir=out")
+# Shown for information, not compared: metric -> (unit, format).
+INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
 CONFIG_HASH = "from stochqg.config import SimConfig, config_hash; print(config_hash(SimConfig()))"
 
 
@@ -71,7 +73,7 @@ class Tree:
         self.scratch = scratch
         self.env = dict(os.environ, PYTHONPATH=str(root / "src"),
                         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        self.peak_rss_mb = {}  # workload -> seed-1 peak_rss_mb, not an output
+        self.info = {}  # (metric, workload) -> seed-1 value, not an output
 
     def run(self, args, cwd: Path) -> tuple[int, str]:
         proc = subprocess.run(args, cwd=cwd, env=self.env, capture_output=True, text=True)
@@ -106,7 +108,8 @@ class Tree:
                     json.loads(lines[-2])["digest"] if ok else f"failed (exit {code})")
                 if ok and seed == 1:
                     metrics = json.loads(lines[-1])["metrics"]
-                    self.peak_rss_mb[workload] = metrics["peak_rss_mb"]["value"]
+                    for metric in INFO_METRICS:
+                        self.info[metric, workload] = metrics[metric]["value"]
 
         readme = self.workdir("readme")
         script = f'stochqg() {{ "{py}" -m stochqg.cli "$@"; }}\n' + _readme_example()
@@ -154,11 +157,12 @@ def main(argv=None) -> int:
         a, b = theirs.get(name, "missing"), ours.get(name, "missing")
         differ += a != b
         print(f"{name:<44} {a:<64} {b:<64} {'yes' if a == b else 'NO'}")
-    for workload in WORKLOADS:
-        a, b = (f"{tree.peak_rss_mb[workload]:.1f}" if workload in tree.peak_rss_mb
-                else "missing" for tree in trees)
-        print(f"peak_rss_mb {workload} seed 1 (not compared): {a} MB under "
-              f"{args.against[:12]}, {b} MB in this checkout")
+    for metric, (unit, fmt) in INFO_METRICS.items():
+        for workload in WORKLOADS:
+            a, b = (format(tree.info[metric, workload], fmt) if (metric, workload) in tree.info
+                    else "missing" for tree in trees)
+            print(f"{metric} {workload} seed 1 (not compared): {a} {unit} under "
+                  f"{args.against[:12]}, {b} {unit} in this checkout")
     print(f"same_outputs: {len(names) - differ} equal, {differ} differ, "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if differ else 0

@@ -27,7 +27,7 @@ import numpy as np
 from .forcing import (ForcingSetup, ensemble_stream, grid_steps, shift_path, steps_per_noise,
                       tail_slope)
 from .integrator import Run, simulate
-from .operators import OperatorContext, lift_terms, norm_h, unit_eigenmode
+from .operators import OperatorContext, eigenmode_columns, lift_terms, norm_h
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class XiStarEstimate:
     @property
     def rule_gap(self) -> float:
         return abs(self.value - self.held_value)
-
-
-def default_quad_horizon(ctx: OperatorContext) -> float:
-    return 20.0 / (ctx.nu * ctx.lambda1)
 
 
 def quad_steps(rate: float, quad_horizon: float | None, dt: float) -> int:
@@ -155,16 +151,17 @@ def leading_real_modes(ctx: OperatorContext, count: int) -> list[tuple[int, int,
     grid = ctx.grid
     mu = ctx.vop.mu
     grid.check_mode_count(count)
-    plane = grid.half_plane()
-    # The m = 0 modes: lam = k^2 + l^2 exactly, one cos and one sin per (k, l).
-    flat = sorted(k * k + l * l for k, l in plane if (k, l) != (0, 0))
-    bound = flat[(count - 1) // 2] if count <= 2 * len(flat) else np.inf
+    # The m = 0 modes: lam = k^2 + l^2 exactly, one cos and one sin per (k, l) != (0, 0),
+    # so the bound is the largest k^2 + l^2 of the disc of (count - 1) // 2 + 1 of them.
+    need = (count - 1) // 2 + 2
+    plane = grid.half_plane(need)
+    bound = max(k * k + l * l for k, l in plane) if len(plane) >= need else np.inf
     cands = []
     for m in range(grid.nz):
         if mu[m] > bound:
             continue
         for k, l in plane:
-            if (m, l, k) == (0, 0, 0) or k * k + l * l > bound:
+            if (m, l, k) == (0, 0, 0):
                 continue
             lam = mu[m] + k * k + l * l
             kinds = ("cos",) if (k == 0 and l == 0) else ("cos", "sin")
@@ -183,6 +180,7 @@ def sample_initial_ball(ctx: OperatorContext, radius2: float, n_members: int,
     """
     grid = ctx.grid
     modes = leading_real_modes(ctx, leading)
+    columns = [eigenmode_columns(ctx, *mode) for mode in modes]
     out = []
     for i in range(n_members):
         rng = ensemble_stream(seed, *key, i)
@@ -191,10 +189,11 @@ def sample_initial_ball(ctx: OperatorContext, radius2: float, n_members: int,
         if rule == "ball":
             r *= rng.uniform() ** (1.0 / len(modes))
         g *= r / np.linalg.norm(g)
-        # Each basis field is made when it is added; the basis is never held whole.
+        # Each mode is added on its one or two columns only.
         u = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-        for c, mode in zip(g, modes):
-            u += c * unit_eigenmode(ctx, *mode)
+        for c, cols in zip(g, columns):
+            for li, ki, col in cols:
+                u[:, li, ki] += c * col
         out.append(u)
     return out
 

@@ -10,6 +10,7 @@ abort; failures emit a JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -41,6 +42,7 @@ from .forcing import (
     NoisePath,
     build_forcing,
     extend_noise_path,
+    grid_steps,
     load_noise_path,
     make_noise_model,
     make_noise_path,
@@ -109,8 +111,22 @@ def _outdir(rt: Runtime) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _keyed(keys: str):
+    """Put the config keys before the message of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{keys}: {exc}") from None
+
+
 def cmd_simulate(rt: Runtime) -> int:
     cfg = rt.cfg
+    run = Run(rt.ctx, rt.forcing, cfg.dt)  # the path must cover t0 and t1 before any step
+    with _keyed("time.t1"):
+        run.end_step(cfg.t1)
+    with _keyed("time.t0"):
+        run.lift(grid_steps(cfg.t0, cfg.dt, "t0"))
     out = _outdir(rt)
     written = []
 
@@ -197,10 +213,8 @@ def cmd_pullback(rt: Runtime) -> int:
 
 def cmd_cocycle_check(rt: Runtime) -> int:
     cfg = rt.cfg
-    try:  # the first leg runs from 0 to s + t
+    with _keyed("cocycle.s + cocycle.t"):  # the first leg runs from 0 to s + t
         Run(rt.ctx, rt.forcing, cfg.dt).end_step(cfg.cocycle_s + cfg.cocycle_t)
-    except ValueError as exc:
-        raise ValueError(f"cocycle.s + cocycle.t: {exc}") from None
     u0 = initial_field(rt)
     dev = cocycle_check(rt.ctx, rt.forcing, cfg.cocycle_s, cfg.cocycle_t, u0, cfg.dt)
     print(f"cocycle-check: s={cfg.cocycle_s} t={cfg.cocycle_t} deviation={dev:.3e}")

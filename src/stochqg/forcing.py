@@ -366,10 +366,10 @@ def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
     if model.n_modes != path.n_modes:
         raise ValueError(f"noise model has {model.n_modes} modes, path has {path.n_modes}")
     fluxes = [mode_flux(grid, mode) for mode in model.modes] + [periodic.u0]
-    # A lift is nonzero exactly on its flux's nonzero columns.  The lifts are
-    # solved one at a time and each is kept on the support columns only.
+    # A lift is nonzero exactly on its flux's nonzero columns, so each is
+    # solved on the support columns only.
     li, ki = np.nonzero(np.any([f.coef != 0.0 for f in fluxes], axis=0))
-    basis = np.array([solve_lift(grid, vop, f)[:, li, ki] for f in fluxes])
+    basis = np.array([solve_lift(grid, vop, f, (li, ki)) for f in fluxes])
     return ForcingSetup(model=model, periodic=periodic, path=path,
                         support=(li, ki), basis=basis)
 

@@ -15,7 +15,6 @@ before sine.  The noise covariance acts diagonally on this basis.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,15 @@ class BoundaryMode:
 
 def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
     """The first n_modes real boundary-basis modes inside the dealias band."""
-    # BoundaryMode orders by its fields, so the smallest field tuples are the first modes.
-    keys = [(k * k + l * l, k, l, phase) for k, l in grid.half_plane() if (k, l) != (0, 0)
-            for phase in (0, 1)]
-    if not 0 <= n_modes <= len(keys):
-        raise ValueError(f"boundary mode count {n_modes} outside [0, {len(keys)}] (in band)")
-    return [BoundaryMode(*key) for key in heapq.nsmallest(n_modes, keys)]
+    available = 2 * (grid.half_plane_size - 1)  # cos and sin of every (k, l) != (0, 0)
+    if not 0 <= n_modes <= available:
+        raise ValueError(f"boundary mode count {n_modes} outside [0, {available}] (in band)")
+    # The first n_modes lie in the smallest disc of (n_modes + 1) // 2 wavevectors
+    # besides (0, 0); BoundaryMode orders by its fields, so sorting the keys ranks them.
+    keys = sorted((k * k + l * l, k, l, phase)
+                  for k, l in grid.half_plane((n_modes + 1) // 2 + 1) if (k, l) != (0, 0)
+                  for phase in (0, 1))
+    return [BoundaryMode(*key) for key in keys[:n_modes]]
 
 
 def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:
@@ -80,10 +82,14 @@ def _banded(vop: VerticalOperator, kh2: float) -> np.ndarray:
     return ab
 
 
-def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> np.ndarray:
-    """The (nz, ny, nkx) spectral lift of an arbitrary mean-zero flux.
+def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux,
+               support: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The spectral lift of an arbitrary mean-zero flux.
 
-    Columns with equal k^2+l^2 share one Cholesky-banded factorization.
+    Dense, shape (nz, ny, nkx), or with ``support`` = (li, ki) index arrays
+    its (nz, ncols) values on those columns, which must hold every nonzero
+    flux column; a column's values are the same bits either way.  Columns
+    with equal k^2+l^2 share one Cholesky-banded factorization.
     """
     coef = flux.coef
     if coef.shape != (grid.ny, grid.nkx):
@@ -91,24 +97,30 @@ def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux) -> np.ndar
     if coef[0, 0] != 0.0:
         raise ValueError("nonzero (0, 0) flux: incompatible Neumann problem")
 
-    out = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-    nonzero = np.argwhere(coef != 0.0)
-    if nonzero.size == 0:
-        return out
+    nonzero = [(int(li), int(ki)) for li, ki in np.argwhere(coef != 0.0)]
+    if support is None:
+        out = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
+        cols = out.reshape(grid.nz, -1)  # a view: column (li, ki) is li * nkx + ki
+        slot = {(li, ki): li * grid.nkx + ki for li, ki in nonzero}
+    else:
+        out = cols = np.zeros((grid.nz, len(support[0])), dtype=complex)
+        slot = {(int(li), int(ki)): j for j, (li, ki) in enumerate(zip(*support))}
+        if not slot.keys() >= set(nonzero):
+            raise ValueError("flux is nonzero off the support columns")
 
     kh2_cols = grid.kh2
     scale = vop.f_top  # variational boundary term of (A_z + kh2*W) u = F_top*g*e_top
     groups: dict[float, list[tuple[int, int]]] = {}
     for li, ki in nonzero:
-        groups.setdefault(float(kh2_cols[li, ki]), []).append((int(li), int(ki)))
+        groups.setdefault(float(kh2_cols[li, ki]), []).append((li, ki))
 
-    for kh2, cols in groups.items():
+    for kh2, group in groups.items():
         ab = _banded(vop, kh2)
-        rhs = np.zeros((vop.nz, len(cols)), dtype=complex)
-        rhs[-1, :] = scale * np.array([coef[li, ki] for li, ki in cols])
+        rhs = np.zeros((vop.nz, len(group)), dtype=complex)
+        rhs[-1, :] = scale * np.array([coef[li, ki] for li, ki in group])
         sol = solveh_banded(ab, rhs)
-        for j, (li, ki) in enumerate(cols):
-            out[:, li, ki] = sol[:, j]
+        for c, col in enumerate(group):
+            cols[:, slot[col]] = sol[:, c]
     return out
 
 

@@ -110,9 +110,9 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
     ky = grid.ky
     kh2 = grid.kh2
     lam = vop.mu[:, None, None] + kh2[None, :, :]
-    inv_lam = np.zeros_like(lam)
-    nonzero = lam > 0.0
-    inv_lam[nonzero] = 1.0 / lam[nonzero]
+    with np.errstate(divide="ignore"):
+        inv_lam = 1.0 / lam
+    inv_lam[lam == 0.0] = 0.0
 
     dx = 1j * kx
     dx[-1] = 0.0  # Nyquist column: odd derivative of a real field is dropped
@@ -374,25 +374,32 @@ def unit_eigenmode(ctx: OperatorContext, m: int, l: int, k: int, kind: str = "co
     horizontal wave; k indexes the stored rfft column (0 <= k < nkx, Nyquist
     excluded), l the signed ky (|l| < ny/2).  For k == 0 the conjugate
     partner column is filled so the field is real; (m, l, k) = (0, 0, 0) is
-    the excluded constant.
+    the excluded constant.  The field is zero off ``eigenmode_columns``.
     """
+    grid = ctx.grid
+    u = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
+    for li, ki, col in eigenmode_columns(ctx, m, l, k, kind):
+        u[:, li, ki] = col
+    return u
+
+
+def eigenmode_columns(ctx: OperatorContext, m: int, l: int, k: int,
+                      kind: str = "cos") -> list[tuple[int, int, np.ndarray]]:
+    """The one or two (li, ki, complex nz-profile) columns of ``unit_eigenmode``."""
     grid = ctx.grid
     grid.check_mode(m, l, k)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    u = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
     prof = ctx.vop.phi[:, m]
-    li = l % grid.ny
     if k == 0 and l == 0:
         if kind == "sin":
             raise ValueError("the (l, k) = (0, 0) column has no sine mode")
-        u[:, 0, 0] = prof / (2.0 * np.pi)
-        return u
+        return [(0, 0, np.asarray(prof / (2.0 * np.pi), dtype=complex))]
     coef = unit_mode_coef(kind)
-    u[:, li, k] = coef * prof
+    cols = [(l % grid.ny, k, np.asarray(coef * prof, dtype=complex))]
     if k == 0:
-        u[:, (-l) % grid.ny, 0] = np.conj(coef) * prof
-    return u
+        cols.append(((-l) % grid.ny, 0, np.asarray(np.conj(coef) * prof, dtype=complex)))
+    return cols
 
 
 def eigenvalue_of(ctx: OperatorContext, m: int, l: int, k: int) -> float:

@@ -21,6 +21,7 @@ component; ``remove_mean`` removes it exactly, in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,18 +163,38 @@ class Grid:
 
     def check_mode_count(self, count: int) -> None:
         """Raise unless 1 <= count <= the number of resolvable real eigenmodes."""
-        n_total = self.nz * (2 * len(self.half_plane()) - 1) - 1  # (0, 0): no sine; no (0, 0, 0)
+        n_total = self.nz * (2 * self.half_plane_size - 1) - 1  # (0, 0): no sine; no (0, 0, 0)
         if not 1 <= count <= n_total:
             raise ValueError(f"mode count {count} outside [1, {n_total}] (the resolvable modes)")
 
-    def half_plane(self) -> list[tuple[int, int]]:
-        """(k, l) of the dealias band with k > 0, or k == 0 and l >= 0.
+    @property
+    def half_plane_size(self) -> int:
+        """The number of half-plane wavevectors in the dealias band (see ``half_plane``)."""
+        kmax_x, kmax_y = self.kmax
+        return kmax_x * (2 * kmax_y + 1) + kmax_y + 1
 
-        One wavevector per conjugate pair, (0, 0) included.
+    def half_plane(self, count: int) -> list[tuple[int, int]]:
+        """The first wavevectors of the half plane, by k^2 + l^2, in (k, l) order.
+
+        The half plane is the (k, l) of the dealias band with k > 0, or k == 0
+        and l >= 0: one wavevector per conjugate pair, (0, 0) included.  Listed
+        are those inside the smallest disc k^2 + l^2 <= r^2 that holds at least
+        ``count`` of them (the whole band if it holds fewer).  The disc is found
+        by doubling r, so the work grows with ``count``, not with the band.
         """
         kmax_x, kmax_y = self.kmax
-        return [(k, l) for k in range(kmax_x + 1)
-                for l in range(0 if k == 0 else -kmax_y, kmax_y + 1)]
+        if count < 1:
+            return []
+        r = math.isqrt(count) + 1  # the half disc of radius r holds about (pi/2) r^2
+        while True:
+            rx, ry = min(r, kmax_x), min(r, kmax_y)
+            disc = [(k, l) for k in range(rx + 1) for l in range(0 if k == 0 else -ry, ry + 1)
+                    if k * k + l * l <= r * r]
+            if len(disc) >= count or r * r >= kmax_x ** 2 + kmax_y ** 2:  # or the whole band
+                break
+            r *= 2
+        cut = sorted(k * k + l * l for k, l in disc)[min(count, len(disc)) - 1]
+        return [(k, l) for k, l in disc if k * k + l * l <= cut]
 
     @property
     def column_weight(self) -> np.ndarray:

@@ -50,3 +50,14 @@ def mode_xy(grid, k, l, phase="cos"):
     y = grid.y[None, :, None]
     f = np.cos(k * x + l * y) if phase == "cos" else np.sin(k * x + l * y)
     return np.broadcast_to(f, (grid.nz, grid.ny, grid.nx)).copy()
+
+
+def half_plane_band(grid):
+    """Brute force: the (k, l) columns of the dealias mask with k > 0, or k == 0 and l >= 0.
+
+    Read off ``grid.dealias_mask``, in (k, l) order, as a reference for
+    ``Grid.half_plane``.
+    """
+    li, ki = np.nonzero(grid.dealias_mask)
+    ls = grid.ky[li].astype(int)
+    return sorted((int(k), int(l)) for k, l in zip(ki, ls) if k > 0 or l >= 0)

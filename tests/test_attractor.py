@@ -10,7 +10,6 @@ from stochqg.attractor import (
     PullbackConfig,
     absorbing_ball,
     cocycle_check,
-    default_quad_horizon,
     diameter,
     dist_h,
     estimate_xi_star,
@@ -21,6 +20,7 @@ from stochqg.attractor import (
     leading_real_modes,
     pullback_run,
     pullback_window,
+    quad_steps,
     sample_initial_ball,
 )
 from stochqg.forcing import (
@@ -28,6 +28,7 @@ from stochqg.forcing import (
     PeriodicFlux,
     advance_ou,
     build_forcing,
+    ensemble_stream,
     init_ou_state,
     make_noise_model,
     make_noise_path,
@@ -40,6 +41,8 @@ from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux
 from stochqg.operators import (build_context, deriv_x, inner_h, lift_terms, nonzero_columns,
                                norm_h, norms, unit_eigenmode)
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
+
+from conftest import half_plane_band
 
 DT = 0.125  # dyadic step, 8 per unit time; noise grid equals the step grid
 
@@ -70,7 +73,7 @@ def _xi_star_reference(ctx, forcing, at, dt):
     h = path.dt_noise
     m = steps_per_noise(dt, h)
     rate = ctx.nu * ctx.lambda1
-    n = int(np.ceil(default_quad_horizon(ctx) / dt))
+    n = quad_steps(rate, None, dt)
     n_at = round(at / dt)
     state = init_ou_state(forcing.model, path, np.floor_divide(n_at - n, m) * h)
     src = np.empty(n + 1)
@@ -238,13 +241,63 @@ class TestSampling:
             with pytest.raises(ValueError, match="mode count"):
                 leading_real_modes(ctx, count)
 
+    @pytest.mark.parametrize("shape", [(48, 16, 9), (16, 48, 9)])
+    def test_leading_modes_on_non_square_grids(self, shape):
+        grid = Grid(*shape)
+        ctx = build_context(grid, build_vertical_operator(make_profile(1.0, 1.0, grid.nz),
+                                                          grid.nz), nu=0.5, beta=1.0)
+        every = _all_real_modes(ctx)
+        for count in (*range(1, 41), 100, 200, 400, len(every)):
+            assert leading_real_modes(ctx, count) == every[:count]
+
+    @pytest.mark.parametrize("shape", [(16, 16, 9), (32, 32, 17), (48, 16, 9)])
+    @pytest.mark.parametrize("leading, rule", [(12, "sphere"), (40, "ball")])
+    def test_members_are_the_sum_of_unit_eigenmodes(self, shape, leading, rule):
+        grid = Grid(*shape)
+        ctx = build_context(grid, build_vertical_operator(make_profile(1.0, 1.0, grid.nz),
+                                                          grid.nz), nu=0.5, beta=1.0)
+        modes = leading_real_modes(ctx, leading)
+        # k = 0 modes fill a conjugate pair of columns; the (0, 0) column holds
+        # vertical modes m >= 1 only.
+        assert any(k == 0 and l != 0 for _, l, k, _ in modes)
+        assert any(k == l == 0 and m >= 1 for m, l, k, _ in modes)
+        members = sample_initial_ball(ctx, 2.0, 3, leading, rule, seed=11, key=(5,))
+        for i, u in enumerate(members):
+            rng = ensemble_stream(11, 5, i)
+            g = rng.standard_normal(leading)
+            r = np.sqrt(2.0)
+            if rule == "ball":
+                r *= rng.uniform() ** (1.0 / leading)
+            g *= r / np.linalg.norm(g)
+            ref = np.zeros_like(u)
+            for c, mode in zip(g, modes):
+                ref += c * unit_eigenmode(ctx, *mode)
+            assert u.tobytes() == ref.tobytes()  # signs of zero included
+
+    def test_member_costs_one_field(self):
+        # A member is built in place: no whole field per mode.
+        grid = Grid(128, 128, 65)
+        ctx = build_context(grid, build_vertical_operator(make_profile(1.0, 1.0, grid.nz),
+                                                          grid.nz), nu=0.5, beta=1.0)
+        field = grid.nz * grid.ny * grid.nkx * 16
+        sample_initial_ball(ctx, 1.0, 1, 12, "sphere", seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            members = sample_initial_ball(ctx, 1.0, 1, 12, "sphere", seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert inner_h(ctx, members[0], members[0]) == pytest.approx(1.0, rel=1e-12)
+        assert peak < 1.5 * field, peak / field
+
 
 def _all_real_modes(ctx):
     """Reference order: every real A-mode, sorted as leading_real_modes ranks them."""
     grid = ctx.grid
     cands = []
     for m in range(grid.nz):
-        for k, l in grid.half_plane():
+        for k, l in half_plane_band(grid):
             if (m, l, k) == (0, 0, 0):
                 continue
             lam = ctx.vop.mu[m] + k * k + l * l

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -154,6 +155,22 @@ class TestBuildRuntime:
         save_noise_path(make_noise_path(1, 3, cfg.dt_noise, -1.0, 1.0), cfg.noise_file)
         with pytest.raises(ConfigError):
             build_runtime(cfg)  # 3 modes in file vs 8 in config
+
+    def test_peak_memory_at_128(self):
+        # The context keeps lam and inv_lam, one complex field's worth between
+        # them; set-up holds no dense lift and no other whole-field temporary.
+        cfg = parse_config("grid.nx = 128\ngrid.ny = 128\ngrid.nz = 65\n")
+        field = cfg.nz * cfg.ny * (cfg.nx // 2 + 1) * 16
+        build_runtime(cfg)  # first-use caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rt = build_runtime(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rt.forcing.basis.shape[0] == cfg.n_modes + 1
+        assert peak < 1.5 * field, peak / field
 
 
 class TestCLI:
@@ -327,7 +344,9 @@ class TestCLI:
         assert rc == 1 and "Traceback" not in err and steps == []
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "invalid-request"
-        assert f"t1={t1} lies beyond the noise path, which covers t <= 16.0" in record["message"]
+        keys = {"simulate": "time.t1", "cocycle-check": "cocycle.s + cocycle.t"}[command]
+        assert record["message"].startswith(
+            f"{keys}: t1={t1} lies beyond the noise path, which covers t <= 16.0")
         assert list(tmp_path.glob("snapshot_*.bin")) == []
 
     def test_cocycle_end_beyond_path_names_its_keys(self, tmp_path, capsys):
@@ -342,7 +361,8 @@ class TestCLI:
                    "--set", "time.t0=-64.015625", "--set", "time.t1=-63"])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["message"].startswith("time -64.015625 outside path range [-64.0, 16.0]")
+        assert record["message"].startswith(
+            "time.t0: time -64.015625 outside path range [-64.0, 16.0]")
 
     def test_gen_noise_rejects_off_grid_window_when_extending(self, tmp_path, capsys):
         # Extending rounded t_min = -8.03 to -8.0, where creating a file rejected it.

@@ -480,6 +480,14 @@ class TestColumnLift:
         dense[:, li, ki] = 0.0
         assert not np.any(dense)
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_basis_is_the_dense_lift_columns(self, grid, vop, case):
+        setup, _ = self._setup(grid, vop, case)
+        li, ki = setup.support
+        fluxes = [mode_flux(grid, m) for m in setup.model.modes] + [setup.periodic.u0]
+        dense = np.array([solve_lift(grid, vop, f)[:, li, ki] for f in fluxes])
+        assert setup.basis.tobytes() == dense.tobytes()
+
     def test_support_cases(self, grid, vop):
         setup, _ = self._setup(grid, vop, "empty_support")
         assert len(setup.support[0]) == 0

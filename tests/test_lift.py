@@ -1,5 +1,7 @@
 """Harmonic boundary lifts and the boundary-mode basis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from stochqg.lift import (
 from stochqg.operators import inner_h
 from stochqg.spectral import build_vertical_operator, inverse_transform, make_profile, Grid
 
+from conftest import half_plane_band
+
 
 def analytic_profile(z, kh):
     """Continuum solution of u'' = kh^2 u, u'(0) = 0, u'(2pi) = 1 (F == 1)."""
@@ -23,6 +27,22 @@ def analytic_profile(z, kh):
 
 
 class TestSolveLift:
+    def test_support_columns_are_the_dense_columns(self, grid, vop):
+        # Several columns, two of them on one kh2 shell, and support columns
+        # in no particular order, some of them zero.
+        rng = np.random.default_rng(5)
+        coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
+        for li, ki in [(1, 0), (grid.ny - 1, 0), (0, 1), (3, 2), (grid.ny - 2, 3), (2, 3)]:
+            coef[li, ki] = complex(*rng.standard_normal(2))
+        dense = solve_lift(grid, vop, BoundaryFlux(coef))
+        li = np.array([3, 0, 5, grid.ny - 2, 1, grid.ny - 1, 2])
+        ki = np.array([2, 1, 5, 3, 0, 0, 3])
+        cols = solve_lift(grid, vop, BoundaryFlux(coef), (li, ki))
+        assert cols.shape == (grid.nz, li.size)
+        assert cols.tobytes() == np.ascontiguousarray(dense[:, li, ki]).tobytes()
+        with pytest.raises(ValueError, match="off the support columns"):
+            solve_lift(grid, vop, BoundaryFlux(coef), (li[1:], ki[1:]))
+
     def test_zero_flux(self, grid, vop):
         flux = BoundaryFlux(np.zeros((grid.ny, grid.nkx), dtype=complex))
         lift = solve_lift(grid, vop, flux)
@@ -145,14 +165,29 @@ class TestBoundaryModes:
         with pytest.raises(ValueError, match=f"boundary mode count {n_modes} outside \\[0, 440\\]"):
             boundary_modes(grid, n_modes)
 
-    @pytest.mark.parametrize("shape", [(8, 8, 5), (16, 48, 9), (32, 32, 17)])
+    @pytest.mark.parametrize("shape", [(8, 8, 5), (16, 48, 9), (32, 32, 17), (48, 16, 9)])
     def test_prefix_of_the_sorted_basis(self, shape):
         grid = Grid(*shape)
-        every = sorted(BoundaryMode(k * k + l * l, k, l, phase) for k, l in grid.half_plane()
+        every = sorted(BoundaryMode(k * k + l * l, k, l, phase) for k, l in half_plane_band(grid)
                        if (k, l) != (0, 0) for phase in (0, 1))
-        for n in (0, 1, 2, 7, 8, 9, 40, len(every) // 2, len(every)):
-            if n <= len(every):
-                assert boundary_modes(grid, n) == every[:n]
+        for n in range(len(every) + 1):
+            assert boundary_modes(grid, n) == every[:n]
+        with pytest.raises(ValueError, match=f"outside \\[0, {len(every)}\\]"):
+            boundary_modes(grid, len(every) + 1)
+
+    def test_few_modes_of_a_large_grid_cost_no_band(self):
+        # 1024x1024 holds 231,530 half-plane wavevectors; 8 modes need 5 of them.
+        grid = Grid(1024, 1024, 5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            modes = boundary_modes(grid, 8)
+            grid.check_mode_count(100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [(m.k, m.l) for m in modes[::2]] == [(0, 1), (1, 0), (1, -1), (1, 1)]
+        assert peak < 0.1e6, peak
 
 
 class TestPrecomputedLifts:

@@ -171,6 +171,25 @@ def ctx128():
     return _context(128, 17)
 
 
+def _masked_inverse(lam):
+    """1/lam where lam > 0 and 0 at the null slot, by a boolean gather and scatter."""
+    inv = np.zeros_like(lam)
+    nonzero = lam > 0.0
+    inv[nonzero] = 1.0 / lam[nonzero]
+    return inv
+
+
+class TestContext:
+    @pytest.mark.parametrize("shape, n_of_z", [((32, 32, 17), 1.0), ((48, 16, 9), 4.0),
+                                               ((16, 48, 9), np.linspace(0.5, 2.0, 9))])
+    def test_inv_lam_is_the_masked_division(self, shape, n_of_z):
+        grid = Grid(*shape)
+        vop = build_vertical_operator(make_profile(1.0, n_of_z, grid.nz), grid.nz)
+        ctx = build_context(grid, vop, nu=0.5, beta=1.0)
+        assert ctx.inv_lam[0, 0, 0] == 0.0 and np.count_nonzero(ctx.lam == 0.0) == 1
+        assert ctx.inv_lam.tobytes() == _masked_inverse(ctx.lam).tobytes()
+
+
 class TestLevelBlocks:
     """A field larger than L2 is multiplied a few levels at a time, bit for bit."""
 

@@ -18,6 +18,8 @@ from stochqg.spectral import (
     project_mean_zero,
 )
 
+from conftest import half_plane_band
+
 
 def dense_eig_oracle(vop):
     """Independent route: dense symmetric eigensolver on the assembled matrix."""
@@ -201,6 +203,10 @@ class TestTransformScaling:
         assert back_err <= 4 * ulp * np.max(np.abs(back))
 
 
+# Square and non-square grids: on the latter kmax_x != kmax_y.
+BAND_SHAPES = [(8, 8, 5), (16, 48, 9), (48, 16, 9), (32, 32, 17)]
+
+
 class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +243,23 @@ class TestGrid:
     def test_kh2(self, grid, ctx):
         assert np.array_equal(grid.kh2, grid.ky[:, None] ** 2 + grid.kx[None, :] ** 2)
         assert np.array_equal(ctx.kh2, grid.kh2)
+
+    @pytest.mark.parametrize("shape", BAND_SHAPES + [(128, 128, 65)])
+    def test_half_plane_size_closed_form(self, shape):
+        grid = Grid(*shape)
+        band = half_plane_band(grid)
+        assert grid.half_plane_size == len(band)
+        assert grid.half_plane(len(band)) == band
+
+    @pytest.mark.parametrize("shape", BAND_SHAPES)
+    def test_half_plane_disc_is_the_smallest_holding_count(self, shape):
+        grid = Grid(*shape)
+        band = half_plane_band(grid)
+        kh2 = sorted(k * k + l * l for k, l in band)
+        assert grid.half_plane(0) == []
+        for count in range(1, len(band) + 2):
+            r2 = kh2[min(count, len(band)) - 1]
+            assert grid.half_plane(count) == [(k, l) for k, l in band if k * k + l * l <= r2]
 
     @pytest.mark.parametrize("l, k", [(16, 1), (-16, 1), (0, 16), (0, -1), (0, 40)])
     def test_check_column_rejects_out_of_band(self, grid, l, k):

@@ -20,6 +20,9 @@ Producers:
   seeds 1-3;
 - the README "Example" commands: their stdout and every artifact;
 - ``simulate`` at dt = dt_noise/4: ``diagnostics.csv`` and the snapshots;
+- ``simulate`` on the non-square 48x16x9 grid with 120 noise modes, whose
+  first modes reach past the band's |l| <= 5 edge, so a k/l mix-up in the
+  band or its discs changes them: ``diagnostics.csv`` and the snapshots;
 - ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
 - ``config_hash(SimConfig())``.
 
@@ -44,9 +47,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sim64_diag", "pullback32", "cli128_io")
 SEEDS = (1, 2, 3)
-DT4_RUN = ("simulate", "--set", "time.dt=0.015625", "--set", "time.t1=1",
-           "--set", "init.kind=random", "--set", "periodic.amplitude=0.5",
-           "--set", "time.snapshot_every=16", "--set", "output.dir=out")
+# name -> simulate arguments; each writes its artifacts to out/.
+SIMULATE_RUNS = {
+    "simulate dt_noise/4": ("--set", "time.dt=0.015625", "--set", "time.t1=1",
+                            "--set", "init.kind=random", "--set", "periodic.amplitude=0.5",
+                            "--set", "time.snapshot_every=16"),
+    "simulate 48x16x9": ("--set", "grid.nx=48", "--set", "grid.ny=16", "--set", "grid.nz=9",
+                         "--set", "init.kind=random", "--set", "noise.n_modes=120",
+                         "--set", "time.t1=1", "--set", "time.snapshot_every=8"),
+}
 # Shown for information, not compared: metric -> (unit, format).
 INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
 CONFIG_HASH = "from stochqg.config import SimConfig, config_hash; print(config_hash(SimConfig()))"
@@ -116,9 +125,11 @@ class Tree:
         text("readme stdout", *self.run(["sh", "-e", "-c", script], readme))
         files("readme", readme)
 
-        dt4 = self.workdir("dt4")
-        text("simulate dt_noise/4 stdout", *self.run([py, "-m", "stochqg.cli", *DT4_RUN], dt4))
-        files("simulate dt_noise/4", dt4 / "out")
+        for name, args in SIMULATE_RUNS.items():
+            work = self.workdir(name.replace(" ", "_").replace("/", "_"))
+            text(f"{name} stdout", *self.run([py, "-m", "stochqg.cli", "simulate", *args,
+                                              "--set", "output.dir=out"], work))
+            files(name, work / "out")
 
         for command in ("cocycle-check", "validate"):
             code, stdout = self.run([py, "-m", "stochqg.cli", command], self.workdir(command))

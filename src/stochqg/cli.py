@@ -3,8 +3,8 @@
 Subcommands: simulate | pullback | cocycle-check | validate | spectrum |
 gen-noise.  All randomness flows through noise paths derived from the config
 seed (or a noise-path file); given a seed, every artifact is bitwise
-reproducible.  Exit codes: 0 success, 1 validation failure, 2 numerical
-abort; failures emit a JSON error record on stderr.
+reproducible.  Exit codes: 0 success, 1 validation or I/O failure, 2
+numerical abort; failures emit a JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -318,6 +318,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         _error_record("invalid-request", str(exc), 1)
+        return 1
+    except OSError as exc:
+        _error_record("io", str(exc), 1)
         return 1
 
 

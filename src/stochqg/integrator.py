@@ -8,7 +8,8 @@ explicit terms collapse to
 
     N(u, t) = -beta * d_x Psi - J(Psi, u),        Psi = G(u) + lift(t),
 
-since f - D = -beta Psi_x and B + C = J(Psi, u).
+since f - D = -beta Psi_x and B + C = J(Psi, u); ``operators.tendency``
+evaluates it.
 
 Time is tracked as an integer step count (t = n*dt, never accumulated).  A
 trajectory is one ``Run`` (context, forcing, dt), and the forcing at step n
@@ -46,13 +47,13 @@ from .operators import (
     Norms,
     OperatorContext,
     apply_G,
-    block_product,
     from_modes,
     inner_h,
     lift_terms,
     modal_norms,
     nonzero_columns,
     norms,
+    tendency,
     to_modes,
 )
 from .spectral import Grid, inverse_transform, mean_defect, project_mean_zero, remove_mean
@@ -208,45 +209,6 @@ class SimResult:
     diagnostics: list
 
 
-def _rhs(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
-         cfl: bool = False):
-    """Explicit tendency N(u), written over psi, and the advective dt limit.
-
-    ``psi`` is G(u) + lift, built by the caller so the mode transform of G
-    is shared with the integrating-factor update.  Each block of
-    ``ctx.blocks`` becomes -beta * deriv_x(psi) - J(psi, u) once its
-    Jacobian is made, so a level-blocked grid holds no whole-field J.  The dt
-    limit is found only with ``cfl`` and a nonlinear step; otherwise it is inf.
-    """
-    grads = []
-    # One block is one pass over the whole field, with no reduction of maxima.
-    for blk in (slice(None),) if linear_only or len(ctx.blocks) == 1 else ctx.blocks:
-        part = psi[blk]
-        jhat, grad = (None, None) if linear_only else block_product(ctx, part, u[blk], cfl)
-        np.multiply(ctx.dx_mult, part, out=part)
-        np.multiply(-ctx.beta, part, out=part)
-        if jhat is not None:
-            np.subtract(part, jhat, out=part)
-        grads.append(grad)
-    remove_mean(psi, ctx.zw)
-    if linear_only or not cfl:
-        return psi, np.inf
-    # np.max, unlike max(), keeps a NaN of any block.
-    return psi, _cfl_limit(ctx, *(grads[0] if len(grads) == 1 else np.max(grads, axis=0)))
-
-
-def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
-    dx = 2.0 * np.pi / ctx.grid.nx
-    dy = 2.0 * np.pi / ctx.grid.ny
-    # Advecting velocity is the rotated gradient: (u, v) = (-Psi_y, Psi_x).
-    lim = np.inf
-    if py_max > 0.0:
-        lim = min(lim, 0.5 * dx / py_max)
-    if px_max > 0.0:
-        lim = min(lim, 0.5 * dy / px_max)
-    return lim
-
-
 def _xi_update(xi: float, vdual_liftx: float, dt: float, ctx: OperatorContext) -> float:
     """``xi_step`` given the source's ||lift_x||_{V'} instead of the lift."""
     if xi < 0.0:
@@ -285,7 +247,7 @@ def step(state: SimState, linear_only: bool = False, *, _release: bool = False) 
     li, ki = run.forcing.support
     psi = from_modes(ctx, -ctx.inv_lam * c0)
     psi[:, li, ki] += state.lift
-    r0, limit = _rhs(ctx, state.u, psi, linear_only, cfl=True)
+    r0, limit = tendency(ctx, state.u, psi, linear_only, cfl=True)
     if dt > limit:
         raise CFLViolation(dt, limit)
     n0_modes = to_modes(ctx, r0)
@@ -308,7 +270,7 @@ def step(state: SimState, linear_only: bool = False, *, _release: bool = False) 
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.
     psi[:, li, ki] += run.lift(n1, held=state.n)
-    r1, _ = _rhs(ctx, u_pred, psi, linear_only)
+    r1, _ = tendency(ctx, u_pred, psi, linear_only)
     del psi, u_pred
     np.multiply(efac, n0_modes, out=n0_modes)
     np.add(n0_modes, to_modes(ctx, r1), out=n0_modes)

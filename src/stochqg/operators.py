@@ -14,9 +14,11 @@ composite operators are
     f(lift)    = -beta * lift_x      boundary-induced source
 
 B, C and D are all energy-neutral: their H inner product with u vanishes to
-rounding.  The vertical-mode transforms are one matrix product each, the
-quadrature weights folded in; a lift's xi source and energy flux are sums
-over its few nonzero columns (``lift_terms``).
+rounding.  The stepper's explicit terms f - D - B - C are one ``tendency``,
+-beta * psi_x - J(psi, u) with psi = G(u) + lift.  The vertical-mode
+transforms are one matrix product each, the quadrature weights folded in; a
+lift's xi source and energy flux are sums over its few nonzero columns
+(``lift_terms``).
 
 All operations are pure functions of (context, fields); the context is
 read-only after construction and safe to share.
@@ -51,6 +53,9 @@ MEAN_ZERO_TOL = 1e-8
 # 262 ms with 1-level and 249-256 ms with 4-level blocks; at 64x64x33
 # (1.1 MB) 31.7 ms whole-field against 30.2 and 31.1 ms with 4- and 8-level
 # blocks, within the run-to-run spread, so fields up to 2 MiB keep one pass.
+# Forcing 8-level blocks at 64x64x33 cut a 2-step simulate's traced peak from
+# 9.41 to 6.69 fields (peak RSS 80.7 -> 76.5 MB) but ran slower, 1.322 ->
+# 1.408 s median over 20 pairs, so the one pass stays.
 SINGLE_PASS_BYTES = 2 << 20
 BLOCK_BYTES = 256 << 10
 
@@ -185,37 +190,16 @@ def deriv_x(ctx: OperatorContext, fhat: np.ndarray) -> np.ndarray:
     return ctx.dx_mult * fhat
 
 
-def dealiased_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray,
-                      maxima: bool = False):
-    """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b.
+def _block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool):
+    """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b on one of ``ctx.blocks``.
 
     The derivative multipliers carry the dealias mask, so only the band of a
     and b enters the collocation product, and the product is masked to the
     band again.  Returns (jhat, grad), jhat not mean-zero projected.  With
     ``maxima``, grad is (max |a_x|, max |a_y|), which bound the advective
-    CFL number when a is the streamfunction; otherwise it is None.
-
-    J acts on each level alone, so the work runs over ``ctx.blocks``: a
-    field that fits in L2 in one pass, a larger one a few levels at a time.
-    Every level sees the same operations either way, so the result does not
-    depend on the blocks.
-    """
-    if len(ctx.blocks) == 1:
-        return block_product(ctx, a, b, maxima)
-    jhat = np.empty(a.shape, dtype=complex)
-    grads = []
-    for blk in ctx.blocks:
-        jhat[blk], grad = block_product(ctx, a[blk], b[blk], maxima)
-        grads.append(grad)
-    # np.max, unlike max(), keeps a NaN of any block.
-    return jhat, tuple(float(g) for g in np.max(grads, axis=0)) if maxima else None
-
-
-def block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool):
-    """``dealiased_product`` on the levels of a and b (all, or one of ``ctx.blocks``).
-
-    The two products are formed one at a time, so at most three physical
-    fields of the block are alive at once.
+    CFL number when a is the streamfunction; otherwise it is None.  The two
+    products are formed one at a time, so at most three physical fields of
+    the block are alive at once.
     """
     grid = ctx.grid
     prod = inverse_transform(grid, ctx.dxm_mult * a)                  # a_x
@@ -237,16 +221,58 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
 
     Accepts spectral or physical inputs on the context grid; the result is
     mean-zero projected.  Inputs are truncated to the dealias band, so the
-    collocation quadrature of any triple product is alias-free.
+    collocation quadrature of any triple product is alias-free.  J acts on
+    each level alone, so the work runs over ``ctx.blocks``; every level sees
+    the same operations whatever the blocks.
     """
     grid = ctx.grid
     a = _as_spectral(ctx, a)
     b = _as_spectral(ctx, b)
     if not (np.any(a) and np.any(b)):
         return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-    jhat, _ = dealiased_product(ctx, a, b)
+    jhat = np.empty(a.shape, dtype=complex)
+    for blk in ctx.blocks:
+        jhat[blk], _ = _block_product(ctx, a[blk], b[blk], False)
     remove_mean(jhat, ctx.zw)
     return jhat
+
+
+def tendency(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
+             cfl: bool = False):
+    """Explicit tendency N(u) = -beta * psi_x - J(psi, u), written over psi, and the dt limit.
+
+    ``psi`` is G(u) + lift, so -beta * psi_x = f - D(u) and J(psi, u) =
+    B(u) + C(lift, u).  Each block of ``ctx.blocks`` becomes its part of N
+    once its Jacobian is made, so a level-blocked grid holds no whole-field
+    J.  The advective dt limit is found only with ``cfl`` and a nonlinear
+    step; otherwise it is inf.
+    """
+    grads = []
+    for blk in ctx.blocks:
+        part = psi[blk]
+        jhat, grad = (None, None) if linear_only else _block_product(ctx, part, u[blk], cfl)
+        np.multiply(ctx.dx_mult, part, out=part)
+        np.multiply(-ctx.beta, part, out=part)
+        if jhat is not None:
+            np.subtract(part, jhat, out=part)
+        grads.append(grad)
+    remove_mean(psi, ctx.zw)
+    if linear_only or not cfl:
+        return psi, np.inf
+    # np.max, unlike max(), keeps a NaN of any block.
+    return psi, _cfl_limit(ctx, *(float(g) for g in np.max(grads, axis=0)))
+
+
+def _cfl_limit(ctx: OperatorContext, px_max: float, py_max: float) -> float:
+    dx = 2.0 * np.pi / ctx.grid.nx
+    dy = 2.0 * np.pi / ctx.grid.ny
+    # Advecting velocity is the rotated gradient: (u, v) = (-Psi_y, Psi_x).
+    lim = np.inf
+    if py_max > 0.0:
+        lim = min(lim, 0.5 * dx / py_max)
+    if px_max > 0.0:
+        lim = min(lim, 0.5 * dy / px_max)
+    return lim
 
 
 def _as_spectral(ctx, f):

@@ -18,6 +18,7 @@ from .operators import (
     apply_A,
     apply_D,
     apply_G,
+    deriv_x,
     h2_scale,
     inner_h,
     jacobian,
@@ -136,7 +137,6 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
 
     # xi fixed point under a frozen source.
     lift_now = setup_lift(forcing, init_ou_state(model, path, path.t_min))
-    from .operators import deriv_x
     c = norms(ctx, deriv_x(ctx, lift_now)).vdual ** 2
     xi_star = ctx.beta ** 2 * c / (ctx.nu ** 2 * ctx.lambda1)
     if xi_star > 0:

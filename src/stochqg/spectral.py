@@ -352,12 +352,6 @@ def project_mean_zero(grid: Grid, fhat: np.ndarray, weights: np.ndarray | None =
     return out
 
 
-def domain_mean(grid: Grid, fhat: np.ndarray, weights: np.ndarray | None = None) -> complex:
-    """Domain average of the field represented by normalized coefficients."""
-    w = grid.zweights if weights is None else weights
-    return weighted_vertical_mean(w, fhat[:, 0, 0])
-
-
 def mean_defect(fhat: np.ndarray, weights: np.ndarray) -> float:
     """|Domain mean| of a field relative to its largest coefficient."""
     scale = float(np.max(np.abs(fhat))) or 1.0

@@ -410,6 +410,18 @@ class TestCLI:
         assert record["error"] == "setup"
         assert "header has 20 bytes" in record["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "pullback"])
+    def test_output_dir_on_a_file_exit_one(self, tmp_path, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        out = _cli_subprocess(command, "--set", f"output.dir={target}", *FAST)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 1
+        record = json.loads(out.stderr.strip().splitlines()[-1])
+        assert record["error"] == "io"
+        assert str(target) in record["message"]
+        assert target.read_text() == "not a directory\n"
+
     def test_numerical_abort_exit_two(self, tmp_path, capsys):
         rc = main(["simulate", "--set", f"output.dir={tmp_path}",
                    "--set", "init.kind=eigenmode", "--set", "init.amplitude=500",

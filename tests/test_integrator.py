@@ -454,6 +454,38 @@ class TestFieldLifetimes:
         assert peak <= bound * field, peak / field
 
 
+class TestBlockInvariance:
+    """The level blocks of the Jacobian and the tendency change no bit, on any grid."""
+
+    @staticmethod
+    def _blockings(nz):
+        return {
+            "1-level": tuple(slice(lo, lo + 1) for lo in range(nz)),
+            "2-level": tuple(slice(lo, min(lo + 2, nz)) for lo in range(0, nz, 2)),
+            "uneven": (slice(0, 1), slice(1, 4), slice(4, nz - 1), slice(nz - 1, nz)),
+        }
+
+    @pytest.mark.parametrize("shape", [(16, 48, 9), (48, 16, 9), (32, 32, 17)])
+    def test_blocked_runs_match_one_block(self, shape):
+        grid = Grid(*shape)
+        vop = build_vertical_operator(make_profile(1.0, 1.0, grid.nz), grid.nz)
+        ctx = build_context(grid, vop, nu=0.5, beta=1.0)
+        assert ctx.blocks == (slice(0, grid.nz),)
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=12)
+        rng = np.random.default_rng(49)
+        a, b = random_field(ctx, rng), random_field(ctx, rng)
+        u0 = 0.2 * random_field(ctx, rng, decay=2.0)
+        ref_j = jacobian(ctx, a, b)
+        ref = simulate(ctx, setup, u0, 0.0, 4 * H, H)
+        assert len(ref.diagnostics) == 4
+        for name, blocks in self._blockings(grid.nz).items():
+            blocked = dataclasses.replace(ctx, blocks=blocks)
+            assert np.array_equal(jacobian(blocked, a, b), ref_j), name
+            res = simulate(blocked, setup, u0, 0.0, 4 * H, H)
+            assert np.array_equal(res.final.u, ref.final.u), name
+            assert res.diagnostics == ref.diagnostics, name
+
+
 _THREAD_RUN = r"""
 import hashlib, sys
 from stochqg import cli, config, integrator

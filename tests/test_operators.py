@@ -1,4 +1,4 @@
-"""Operator algebra: A, G, J, B, C, D, f, and the three norms."""
+"""Operator algebra: A, G, J, B, C, D, f, the tendency, and the three norms."""
 
 import tracemalloc
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from stochqg import operators
+from stochqg.lift import BoundaryFlux, boundary_modes, mode_flux, solve_lift
 from stochqg.operators import (
     apply_A,
     apply_B,
     apply_C,
     apply_D,
     build_context,
-    dealiased_product,
     eigenvalue_of,
     forcing_f,
     from_modes,
@@ -23,6 +23,7 @@ from stochqg.operators import (
     norm_h,
     norms,
     apply_G,
+    tendency,
     to_modes,
     unit_eigenmode,
 )
@@ -203,17 +204,28 @@ class TestLevelBlocks:
 
     @pytest.mark.parametrize("size", ["blocked", "single"])
     @pytest.mark.parametrize("maxima", [True, False])
-    def test_matches_whole_field_pass(self, ctx, ctx128, size, maxima):
+    def test_matches_whole_field_pass(self, ctx, ctx128, size, maxima, monkeypatch):
         c = ctx128 if size == "blocked" else ctx
         rng = np.random.default_rng(17)
         a = random_field(c, rng)
         b = random_field(c, rng)
-        jhat, grad = dealiased_product(c, a, b, maxima=maxima)
         ref, ref_grad = whole_field_product(c, a, b, maxima=maxima)
-        assert np.array_equal(jhat, ref)
-        assert grad == ref_grad
+        # The tendency of u = b under psi = a is -beta * a_x - J(a, b), and
+        # its dt limit comes from the maxima of a's gradient.
+        grads = []
+        cfl_limit = operators._cfl_limit
+        monkeypatch.setattr(operators, "_cfl_limit",
+                            lambda c_, *grad: grads.append(grad) or cfl_limit(c_, *grad))
+        n, limit = tendency(c, b, a.copy(), False, cfl=maxima)
+        assert grads == ([ref_grad] if maxima else [])
         if maxima:
-            assert all(isinstance(g, float) for g in grad)
+            assert all(isinstance(g, float) for g in grads[0])
+            assert limit == cfl_limit(c, *ref_grad) and isinstance(limit, float)
+        else:
+            assert limit == np.inf
+        n_ref = -c.beta * (c.dx_mult * a) - ref
+        remove_mean(n_ref, c.zw)
+        assert np.array_equal(n, n_ref)
         remove_mean(ref, c.zw)
         assert np.array_equal(jacobian(c, a, b), ref)
 
@@ -221,14 +233,16 @@ class TestLevelBlocks:
         rng = np.random.default_rng(18)
         a = random_field(ctx128, rng)
         b = random_field(ctx128, rng)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            jhat, _ = dealiased_product(ctx128, a, b, maxima=True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * jhat.nbytes, peak / jhat.nbytes
+        psi = a.copy()
+        for run in (lambda: jacobian(ctx128, a, b), lambda: tendency(ctx128, b, psi, False, True)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * a.nbytes, peak / a.nbytes
 
     def test_single_pass_transform_counts(self, monkeypatch):
         c = _context(64, 33)
@@ -248,8 +262,32 @@ class TestLevelBlocks:
                             counted("inverse", operators.inverse_transform))
         monkeypatch.setattr(operators, "forward_transform",
                             counted("forward", operators.forward_transform))
-        dealiased_product(c, a, b, maxima=True)
+        jacobian(c, a, b)
         assert counts == {"inverse": 4, "forward": 1}
+        tendency(c, b, a.copy(), False, cfl=True)
+        assert counts == {"inverse": 8, "forward": 2}
+
+
+class TestTendency:
+    """The stepper's collapsed N(u) = -beta psi_x - J(psi, u) against f, D, B and C."""
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    @pytest.mark.parametrize("size", ["single", "blocked"])
+    def test_matches_paper_operators(self, ctx, ctx128, size, linear_only):
+        c = ctx128 if size == "blocked" else ctx
+        grid = c.grid
+        rng = np.random.default_rng(20)
+        u = 10.0 * random_field(c, rng)
+        coef = sum(w * mode_flux(grid, mode).coef
+                   for w, mode in zip(rng.standard_normal(6), boundary_modes(grid, 6)))
+        lift = 0.5 * solve_lift(grid, c.vop, BoundaryFlux(coef))
+        n, limit = tendency(c, u, apply_G(c, u) + lift, linear_only)
+        ref = forcing_f(c, lift) - apply_D(c, u)
+        if not linear_only:
+            ref -= apply_B(c, u) + apply_C(c, lift, u)
+        remove_mean(ref, c.zw)
+        assert limit == np.inf
+        assert norm_h(c, n - ref) <= 1e-13 * norm_h(c, ref), norm_h(c, n - ref) / norm_h(c, ref)
 
 
 class TestApplyB:

@@ -24,6 +24,9 @@ Producers:
   first modes reach past the band's |l| <= 5 edge, so a k/l mix-up in the
   band or its discs changes them: ``diagnostics.csv`` and the snapshots;
 - ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
+- ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33 and
+  128x128x17 (one pass, one pass, level blocks): its sha256 per grid, since
+  ``validate`` prints only PASS/FAIL;
 - ``config_hash(SimConfig())``.
 
 The digests depend on the BLAS kernels the host picks, so the two trees are
@@ -59,6 +62,19 @@ SIMULATE_RUNS = {
 # Shown for information, not compared: metric -> (unit, format).
 INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
 CONFIG_HASH = "from stochqg.config import SimConfig, config_hash; print(config_hash(SimConfig()))"
+# Prints "<grid> <sha256 of jacobian>" per grid, through API every tree has.
+JACOBIAN = """
+import hashlib
+import numpy as np
+from stochqg.operators import build_context, jacobian
+from stochqg.spectral import Grid, build_vertical_operator, make_profile
+for n, nz in ((32, 17), (64, 33), (128, 17)):
+    vop = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
+    ctx = build_context(Grid(nx=n, ny=n, nz=nz), vop, nu=0.5, beta=1.0)
+    rng = np.random.default_rng(n + nz)
+    a, b = (rng.standard_normal((nz, n, n)) for _ in range(2))
+    print(f"{n}x{n}x{nz}", hashlib.sha256(jacobian(ctx, a, b).tobytes()).hexdigest())
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -136,6 +152,12 @@ class Tree:
             text(f"{command} stdout", code, stdout)
             if command == "cocycle-check":
                 out["cocycle-check line"] = stdout.strip()
+
+        code, stdout = self.run([py, "-c", JACOBIAN], self.scratch)
+        for grid, digest in (line.split() for line in stdout.splitlines()):
+            out[f"jacobian {grid}"] = digest
+        if code:
+            out["jacobian"] = f"failed (exit {code})"
 
         code, stdout = self.run([py, "-c", CONFIG_HASH], self.scratch)
         out["config_hash(SimConfig())"] = stdout.strip() if code == 0 else f"failed (exit {code})"

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .attractor import PullbackConfig, quad_steps
 from .forcing import (PeriodicFlux, grid_steps, make_noise_model,
                       make_noise_path, steps_per_noise)
-from .lift import BoundaryFlux, BoundaryMode, mode_flux
+from .lift import BoundaryMode, mode_flux
 from .spectral import Grid, build_vertical_operator, compute_lambda1, make_profile
 
 
@@ -206,7 +206,8 @@ def horizon_list(cfg: SimConfig) -> list[int]:
 def periodic_flux(cfg: SimConfig, grid: Grid) -> PeriodicFlux:
     """The ``periodic.*`` flux: amplitude times the cosine boundary mode (mode_k, mode_l)."""
     mode = BoundaryMode(cfg.mode_k ** 2 + cfg.mode_l ** 2, cfg.mode_k, cfg.mode_l, 0)
-    return PeriodicFlux(BoundaryFlux(cfg.amplitude * mode_flux(grid, mode).coef), cfg.phase)
+    flux = mode_flux(grid, mode)
+    return PeriodicFlux(replace(flux, values=cfg.amplitude * flux.values), cfg.phase)
 
 
 def pullback_config(cfg: SimConfig) -> PullbackConfig:

@@ -106,8 +106,6 @@ class PeriodicFlux:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.u0.coef[0, 0] != 0.0:
-            raise ValueError("periodic flux amplitude must be mean-zero")
         if not 0.0 <= self.phase < 1.0:
             raise ValueError("phase must lie in [0, 1)")
 
@@ -366,9 +364,9 @@ def build_forcing(grid: Grid, vop: VerticalOperator, model: NoiseModel,
     if model.n_modes != path.n_modes:
         raise ValueError(f"noise model has {model.n_modes} modes, path has {path.n_modes}")
     fluxes = [mode_flux(grid, mode) for mode in model.modes] + [periodic.u0]
-    # A lift is nonzero exactly on its flux's nonzero columns, so each is
-    # solved on the support columns only.
-    li, ki = np.nonzero(np.any([f.coef != 0.0 for f in fluxes], axis=0))
+    # A lift is nonzero exactly on its flux's columns: solve each on their sorted union.
+    flat = sorted({col for f in fluxes for col in (f.li * grid.nkx + f.ki).tolist()})
+    li, ki = np.divmod(np.array(flat, dtype=np.intp), grid.nkx)
     basis = np.array([solve_lift(grid, vop, f, (li, ki)) for f in fluxes])
     return ForcingSetup(model=model, periodic=periodic, path=path,
                         support=(li, ki), basis=basis)
@@ -395,7 +393,7 @@ def setup_lift(setup: ForcingSetup, state: OUBoundaryState,
     if step_index is None:
         step_index, dt = state.j, state.dt_noise
     li, ki = setup.support
-    out = np.zeros((setup.basis.shape[1], *setup.periodic.u0.coef.shape), dtype=complex)
+    out = np.zeros((setup.basis.shape[1], *setup.periodic.u0.shape), dtype=complex)
     out[:, li, ki] = lift_columns(setup, state.zeta, step_index, dt)
     return out
 

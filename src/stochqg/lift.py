@@ -1,12 +1,11 @@
 """Harmonic boundary lifts: Delta~ u = 0 with prescribed top-face Neumann flux.
 
-For each horizontal mode (k, l) != (0, 0) the lift profile solves the
-two-point problem (F u')' - (k^2+l^2) u = 0 with u'(0) = 0 and u'(2pi) equal
-to the flux coefficient, discretized with the same conservative stencil as
-the interior operator; the flux enters through the variational boundary term
-F(2pi) * flux, imposed on u_z directly.  The (0, 0) mode is excluded (the
-Neumann problem is only solvable for mean-zero flux), so every lift is
-mean-zero.
+A flux is held on its nonzero horizontal columns (k, l) != (0, 0): the Neumann
+problem is only solvable for mean-zero flux, so every lift is mean-zero.  On a
+column the lift profile solves (F u')' - (k^2+l^2) u = 0 with u'(0) = 0 and
+u'(2pi) the flux coefficient, discretized with the interior operator's
+conservative stencil; the flux enters through the variational boundary term
+F(2pi) * flux, imposed on u_z directly.
 
 The boundary basis is the set of unit-L2 real Fourier modes on the top face,
 ordered by increasing k^2+l^2 with (k, l)-lexicographic tie-breaking, cosine
@@ -20,19 +19,44 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .operators import nonzero_columns
 from .spectral import Grid, VerticalOperator, unit_mode_coef
-
-_COS, _SIN = "cos", "sin"
 
 
 @dataclass(frozen=True)
 class BoundaryFlux:
-    """Top-face Neumann data as normalized rfft2 coefficients, shape (ny, nkx)."""
+    """Top-face Neumann data: the nonzero entries of an (ny, nkx) rfft2 array of ``shape``.
 
-    coef: np.ndarray
+    ``li``, ``ki`` and ``values``: their rows, columns and coefficients in row-major order.
+    Zero values are dropped; a column outside ``shape``, repeated or (0, 0) is rejected.
+    """
+
+    shape: tuple[int, int]
+    li: np.ndarray
+    ki: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coef", np.asarray(self.coef, dtype=complex))
+        ny, nkx = shape = tuple(int(n) for n in self.shape)
+        li, ki, vals = (np.ravel(a).tolist() for a in (self.li, self.ki, self.values))
+        bad = [c for c in zip(li, ki, strict=True) if not (0 <= c[0] < ny and 0 <= c[1] < nkx)]
+        if bad:
+            raise ValueError(f"column {bad[0]} outside flux shape {shape}")
+        cols = {l * nkx + k: v for l, k, v in zip(li, ki, vals, strict=True) if v}
+        if 0 in cols:
+            raise ValueError("flux on the (0, 0) column: the Neumann problem needs mean-zero flux")
+        if len(cols) < sum(map(bool, vals)):
+            raise ValueError("flux names a column twice")
+        flat = np.array(sorted(cols), dtype=np.intp)
+        self.__dict__.update(shape=shape, li=flat // nkx, ki=flat % nkx,
+                             values=np.array([cols[f] for f in flat.tolist()], dtype=complex))
+
+    @classmethod
+    def from_dense(cls, coef) -> BoundaryFlux:
+        """The flux of an arbitrary (ny, nkx) coefficient array."""
+        coef = np.asarray(coef, dtype=complex)
+        li, ki = np.nonzero(coef)
+        return cls(coef.shape, li, ki, coef[li, ki])
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +70,7 @@ class BoundaryMode:
 
     @property
     def kind(self) -> str:
-        return _COS if self.phase_index == 0 else _SIN
+        return "cos" if self.phase_index == 0 else "sin"
 
 
 def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
@@ -65,62 +89,44 @@ def boundary_modes(grid: Grid, n_modes: int) -> list[BoundaryMode]:
 def mode_flux(grid: Grid, mode: BoundaryMode) -> BoundaryFlux:
     """Unit-L2(top face) coefficients of a real boundary mode (|l| < ny/2, 0 <= k < nx/2)."""
     grid.check_column(mode.l, mode.k)
-    coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
     c = unit_mode_coef(mode.kind)
-    li = mode.l % grid.ny
-    coef[li, mode.k] = c
-    if mode.k == 0:
-        coef[(-mode.l) % grid.ny, 0] = np.conj(c)
-    return BoundaryFlux(coef)
-
-
-def _banded(vop: VerticalOperator, kh2: float) -> np.ndarray:
-    """Upper banded form of A_z + kh2 * W (symmetric positive definite)."""
-    ab = np.zeros((2, vop.nz))
-    ab[0, 1:] = vop.stiff_off
-    ab[1, :] = vop.stiff_diag + kh2 * vop.weights
-    return ab
+    # A k = 0 mode stores its conjugate column (0, -l) too.
+    ls, values = ([mode.l, -mode.l], [c, np.conj(c)]) if mode.k == 0 else ([mode.l], [c])
+    return BoundaryFlux((grid.ny, grid.nkx), [l % grid.ny for l in ls], [mode.k] * len(ls), values)
 
 
 def solve_lift(grid: Grid, vop: VerticalOperator, flux: BoundaryFlux,
                support: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The spectral lift of an arbitrary mean-zero flux.
+    """The spectral lift of a flux, solved on the flux's columns only.
 
     Dense, shape (nz, ny, nkx), or with ``support`` = (li, ki) index arrays
-    its (nz, ncols) values on those columns, which must hold every nonzero
-    flux column; a column's values are the same bits either way.  Columns
-    with equal k^2+l^2 share one Cholesky-banded factorization.
+    its (nz, ncols) values on those columns, which must hold every flux
+    column; a column's values are the same bits either way.  Columns with
+    equal k^2+l^2 share one Cholesky-banded factorization.
     """
-    coef = flux.coef
-    if coef.shape != (grid.ny, grid.nkx):
-        raise ValueError(f"flux shape {coef.shape} does not match grid")
-    if coef[0, 0] != 0.0:
-        raise ValueError("nonzero (0, 0) flux: incompatible Neumann problem")
-
-    nonzero = [(int(li), int(ki)) for li, ki in np.argwhere(coef != 0.0)]
+    if flux.shape != (grid.ny, grid.nkx):
+        raise ValueError(f"flux shape {flux.shape} does not match grid")
     if support is None:
         out = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-        cols = out.reshape(grid.nz, -1)  # a view: column (li, ki) is li * nkx + ki
-        slot = {(li, ki): li * grid.nkx + ki for li, ki in nonzero}
+        target, at = out.reshape(grid.nz, -1), flux.li * grid.nkx + flux.ki  # a view of out
     else:
-        out = cols = np.zeros((grid.nz, len(support[0])), dtype=complex)
-        slot = {(int(li), int(ki)): j for j, (li, ki) in enumerate(zip(*support))}
-        if not slot.keys() >= set(nonzero):
+        slot = {col: j for j, col in enumerate(zip(*(np.asarray(s).tolist() for s in support)))}
+        at = np.fromiter((slot.get(col, -1) for col in zip(flux.li.tolist(), flux.ki.tolist())),
+                         np.intp)
+        if -1 in at:
             raise ValueError("flux is nonzero off the support columns")
+        out = target = np.zeros((grid.nz, len(support[0])), dtype=complex)
 
-    kh2_cols = grid.kh2
-    scale = vop.f_top  # variational boundary term of (A_z + kh2*W) u = F_top*g*e_top
-    groups: dict[float, list[tuple[int, int]]] = {}
-    for li, ki in nonzero:
-        groups.setdefault(float(kh2_cols[li, ki]), []).append((li, ki))
-
+    groups: dict[float, list[int]] = {}
+    for j, kh2 in enumerate((grid.ky[flux.li] ** 2 + grid.kx[flux.ki] ** 2).tolist()):
+        groups.setdefault(kh2, []).append(j)
+    ab = np.zeros((2, vop.nz))  # upper banded form of A_z + kh2 * W (symmetric positive definite)
+    ab[0, 1:] = vop.stiff_off
     for kh2, group in groups.items():
-        ab = _banded(vop, kh2)
+        ab[1] = vop.stiff_diag + kh2 * vop.weights
         rhs = np.zeros((vop.nz, len(group)), dtype=complex)
-        rhs[-1, :] = scale * np.array([coef[li, ki] for li, ki in group])
-        sol = solveh_banded(ab, rhs)
-        for c, col in enumerate(group):
-            cols[:, slot[col]] = sol[:, c]
+        rhs[-1] = vop.f_top * flux.values[group]  # the variational boundary term F_top * g
+        target[:, at[group]] = solveh_banded(ab, rhs)
     return out
 
 
@@ -130,18 +136,12 @@ def precompute_mode_lifts(grid: Grid, vop: VerticalOperator, n_modes: int) -> li
 
 
 def lift_interior_residual(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> float:
-    """Relative interior residual of (F u')' - (k^2+l^2) u = 0, max over columns."""
-    kh2 = grid.kh2
-    res = (vop.action @ coef.reshape(vop.nz, -1)).reshape(coef.shape)
-    res = res + kh2[None, :, :] * coef
-    worst = 0.0
+    """Relative interior residual of (F u')' - (k^2+l^2) u = 0, max over nonzero columns."""
+    (li, ki), cols = nonzero_columns(coef)
+    kh2 = grid.ky[li] ** 2 + grid.kx[ki] ** 2
+    res = np.linalg.norm((vop.action @ cols + kh2 * cols)[1:-1], axis=0)
     opscale = float(np.max(np.abs(vop.action)))
-    for li, ki in np.argwhere(np.any(coef != 0.0, axis=0)):
-        col = coef[:, li, ki]
-        r = res[1:-1, li, ki]
-        denom = (kh2[li, ki] + opscale) * float(np.linalg.norm(col))
-        worst = max(worst, float(np.linalg.norm(r)) / denom)
-    return worst
+    return float(np.max(res / ((kh2 + opscale) * np.linalg.norm(cols, axis=0)), initial=0.0))
 
 
 def recovered_top_flux(grid: Grid, vop: VerticalOperator, coef: np.ndarray) -> np.ndarray:

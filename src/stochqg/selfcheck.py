@@ -98,7 +98,7 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     coef = (rng.standard_normal((grid.ny, grid.nkx))
             + 1j * rng.standard_normal((grid.ny, grid.nkx)))
     coef[0, 0] = 0.0
-    lf = solve_lift(grid, vop, BoundaryFlux(coef))
+    lf = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
     check("lift interior residual", lift_interior_residual(grid, vop, lf) < 1e-10)
 
     # Noise machinery.

@@ -61,3 +61,10 @@ def half_plane_band(grid):
     li, ki = np.nonzero(grid.dealias_mask)
     ls = grid.ky[li].astype(int)
     return sorted((int(k), int(l)) for k, l in zip(ki, ls) if k > 0 or l >= 0)
+
+
+def dense_coef(flux):
+    """The (ny, nkx) coefficient array of a BoundaryFlux: its values scattered on its columns."""
+    coef = np.zeros(flux.shape, dtype=complex)
+    coef[flux.li, flux.ki] = flux.values
+    return coef

@@ -55,7 +55,7 @@ from stochqg.operators import (
 )
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
 
-from conftest import random_field
+from conftest import dense_coef, random_field
 
 
 def report(num, name, failures, detail=""):
@@ -79,8 +79,8 @@ def make_forcing(grid, vop, *, q0, amp, phase=0.2, seed=101, h=0.0625,
                  t_min=-8.0, t_max=8.0, n_modes=8, tau_c=0.5):
     model = make_noise_model(grid, n_modes, q0=q0, p=3.0, tau_c=tau_c)
     path = make_noise_path(seed, n_modes, h, t_min, t_max)
-    coef = amp * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
-    return build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux(coef), phase), path)
+    coef = amp * dense_coef(mode_flux(grid, boundary_modes(grid, 4)[2]))
+    return build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux.from_dense(coef), phase), path)
 
 
 def test_criterion_1_algebraic_identities(desk):
@@ -163,7 +163,7 @@ def test_criterion_3_lift(desk):
     coef = rng.standard_normal((grid.ny, grid.nkx)) * (1 + 0j)
     coef[0, 0] = 0.0
     worst_res = max(worst_res, lift_interior_residual(
-        grid, vop, solve_lift(grid, vop, BoundaryFlux(coef))))
+        grid, vop, solve_lift(grid, vop, BoundaryFlux.from_dense(coef))))
     if worst_res > 1e-10:
         failures.append(f"interior residual {worst_res:.2e}")
 
@@ -174,7 +174,7 @@ def test_criterion_3_lift(desk):
         v = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
         c = np.zeros((g.ny, g.nkx), dtype=complex)
         c[0, 1] = 1.0
-        got = solve_lift(g, v, BoundaryFlux(c))[:, 0, 1].real
+        got = solve_lift(g, v, BoundaryFlux.from_dense(c))[:, 0, 1].real
         expect = np.cosh(g.z) / np.sinh(2 * np.pi)
         errs.append(np.max(np.abs(got - expect)))
     slopes = [np.log(errs[i] / errs[i + 1]) / np.log((sizes[i + 1] - 1) / (sizes[i] - 1))
@@ -451,7 +451,7 @@ def test_criterion_7_reconstruction(desk):
     psi_hat, _, _ = reconstruct_streamfunction(ctx, u, lift)
     diff = -apply_A(ctx, psi_hat) - u
     rel_int = np.max(np.abs(diff[1:-1])) / np.max(np.abs(u))
-    inj = vop.f_top * flux.coef / vop.weights[-1]
+    inj = vop.f_top * dense_coef(flux) / vop.weights[-1]
     rel_top = np.max(np.abs(diff[-1] + inj)) / np.max(np.abs(inj))
     rel_bot = np.max(np.abs(diff[0])) / np.max(np.abs(u))
     for name, val in (("interior", rel_int), ("top", rel_top), ("bottom", rel_bot)):

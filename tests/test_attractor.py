@@ -42,7 +42,7 @@ from stochqg.operators import (build_context, deriv_x, inner_h, lift_terms, nonz
                                norm_h, norms, unit_eigenmode)
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
 
-from conftest import half_plane_band
+from conftest import dense_coef, half_plane_band
 
 DT = 0.125  # dyadic step, 8 per unit time; noise grid equals the step grid
 
@@ -55,8 +55,8 @@ def dyn_forcing(grid, vop, q0=0.05, amp=0.4, phase=0.2, seed=5, t_min=-64.0, t_m
                 n_modes=6, tau_c=0.5):
     model = make_noise_model(grid, n_modes, q0=q0, p=3.0, tau_c=tau_c)
     path = make_noise_path(seed, n_modes, DT, t_min, t_max)
-    coef = amp * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
-    periodic = PeriodicFlux(BoundaryFlux(coef), phase=phase)
+    coef = amp * dense_coef(mode_flux(grid, boundary_modes(grid, 4)[2]))
+    periodic = PeriodicFlux(BoundaryFlux.from_dense(coef), phase=phase)
     return build_forcing(grid, vop, model, periodic, path)
 
 
@@ -105,8 +105,9 @@ class TestXiStar:
         ctx = dyn_ctx(grid, vop, nu=0.5)
         model = make_noise_model(grid, 2, q0=0.0, p=3.0, tau_c=0.5)
         path = make_noise_path(3, 2, 1.0, -400.0, 1.0)
-        coef = 0.5 * mode_flux(grid, boundary_modes(grid, 4)[2]).coef
-        setup = build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux(coef), 0.25), path)
+        coef = 0.5 * dense_coef(mode_flux(grid, boundary_modes(grid, 4)[2]))
+        periodic = PeriodicFlux(BoundaryFlux.from_dense(coef), 0.25)
+        setup = build_forcing(grid, vop, model, periodic, path)
         from stochqg.operators import deriv_x, norms
         periodic_lift = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
         periodic_lift[:, setup.support[0], setup.support[1]] = setup.basis[-1]

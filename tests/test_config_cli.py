@@ -172,6 +172,27 @@ class TestBuildRuntime:
         assert rt.forcing.basis.shape[0] == cfg.n_modes + 1
         assert peak < 1.5 * field, peak / field
 
+    def test_parse_peak_below_one_dense_flux(self):
+        # The periodic flux is scaled on its columns: parsing a 1024x1024x5
+        # config holds less than one (ny, nkx) complex array.
+        text = "grid.nx = 1024\ngrid.ny = 1024\ngrid.nz = 5\nperiodic.amplitude = 0.5\n"
+        parse_config(text)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cfg = parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cfg.amplitude == 0.5
+        assert peak < 1024 * 513 * 16, peak
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_mean_periodic_mode_rejected(self, amplitude):
+        # (mode_k, mode_l) = (0, 0) names no boundary mode, whatever the amplitude.
+        with pytest.raises(ConfigError, match=r"periodic.mode_k, .*: flux on the \(0, 0\) column"):
+            parse_config(f"periodic.mode_k = 0\nperiodic.amplitude = {amplitude}\n")
+
 
 class TestCLI:
     def test_validate_defaults(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Noise model, OU states, noise paths, lifts-in-time, temperedness."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from stochqg.forcing import (
 from stochqg.integrator import Run
 from stochqg.lift import BoundaryFlux, mode_flux, boundary_modes, precompute_mode_lifts, solve_lift
 from stochqg.operators import deriv_x, inner_h, lift_terms, nonzero_columns, norm_h, norms
-from conftest import random_field
+from stochqg.spectral import Grid, build_vertical_operator, make_profile
+from conftest import dense_coef, random_field
 
 H = 0.0625  # dyadic noise step, 16 per unit time
 
@@ -39,8 +41,8 @@ def small_model(grid, n_modes=4, q0=0.01, tau_c=0.5):
 
 
 def unit_periodic(grid, amplitude=0.0, phase=0.0):
-    coef = amplitude * mode_flux(grid, boundary_modes(grid, 4)[2]).coef  # (1, 0) cos
-    return PeriodicFlux(BoundaryFlux(coef), phase=phase)
+    coef = amplitude * dense_coef(mode_flux(grid, boundary_modes(grid, 4)[2]))  # (1, 0) cos
+    return PeriodicFlux(BoundaryFlux.from_dense(coef), phase=phase)
 
 
 class TestNoiseModel:
@@ -462,8 +464,9 @@ class TestColumnLift:
         n_modes, q0, amp, pmode = self.CASES[case]
         model = make_noise_model(grid, n_modes, q0=q0, p=3.0, tau_c=0.5)
         path = make_noise_path(5, n_modes, H, 0.0, 1.0)
-        coef = amp * mode_flux(grid, boundary_modes(grid, 12)[pmode]).coef
-        setup = build_forcing(grid, vop, model, PeriodicFlux(BoundaryFlux(coef), 0.1), path)
+        coef = amp * dense_coef(mode_flux(grid, boundary_modes(grid, 12)[pmode]))
+        periodic = PeriodicFlux(BoundaryFlux.from_dense(coef), 0.1)
+        setup = build_forcing(grid, vop, model, periodic, path)
         state = init_ou_state(model, path, 0.5)
         return setup, state
 
@@ -498,6 +501,41 @@ class TestColumnLift:
             assert on_periodic.any()
             assert np.any(on_noise & on_periodic) == shared
 
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0])
+    def test_zero_amplitude_adds_no_column(self, grid, vop, amplitude):
+        # Mode 9, (0, 2) sin, lies outside the 8 noise modes: a zero flux there
+        # must leave the support and the basis as an empty periodic flux does.
+        model = make_noise_model(grid, 8, q0=0.05, p=3.0, tau_c=0.5)
+        path = make_noise_path(5, 8, H, 0.0, 1.0)
+        flux = mode_flux(grid, boundary_modes(grid, 12)[9])
+        zero = dataclasses.replace(flux, values=amplitude * flux.values)
+        assert zero.li.size == zero.ki.size == zero.values.size == 0
+        none = BoundaryFlux(flux.shape, [], [], [])
+        got, ref = (build_forcing(grid, vop, model, PeriodicFlux(f, 0.1), path)
+                    for f in (zero, none))
+        assert len(got.support[0]) == 5  # (0, +-1), (1, 0), (1, -1) and (1, 1)
+        for a, b in zip((*got.support, got.basis), (*ref.support, ref.basis)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_peak_memory_of_a_large_grid(self):
+        # 1024x1024x5: a dense (ny, nkx) complex array is 8.4 MB; the fluxes,
+        # the support and the basis are a few KB.
+        grid = Grid(1024, 1024, 5)
+        vop = build_vertical_operator(make_profile(1.0, 1.0, grid.nz), grid.nz)
+        model = make_noise_model(grid, 8, q0=0.05, p=3.0, tau_c=0.5)
+        path = make_noise_path(5, 8, H, 0.0, 1.0)
+        flux = mode_flux(grid, boundary_modes(grid, 12)[9])
+        periodic = PeriodicFlux(dataclasses.replace(flux, values=0.5 * flux.values), 0.1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            setup = build_forcing(grid, vop, model, periodic, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert setup.basis.shape == (9, grid.nz, 7)  # 5 noise columns and (0, +-2)
+        assert peak < 1e6, peak
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_terms_match_dense_norms(self, grid, vop, ctx, case):
         setup, state = self._setup(grid, vop, case)
@@ -519,7 +557,7 @@ class TestColumnLift:
 
 class TestPeriodicFactor:
     def test_bitwise_periodicity(self):
-        per = PeriodicFlux(BoundaryFlux(np.zeros((4, 3), dtype=complex)), phase=0.37)
+        per = PeriodicFlux(BoundaryFlux.from_dense(np.zeros((4, 3), dtype=complex)), phase=0.37)
         dt = 0.0625
         p = round(1 / dt)
         for n in (-3, 0, 5, 11):
@@ -528,10 +566,10 @@ class TestPeriodicFactor:
     @pytest.mark.parametrize("phase", [-0.25, 1.0, 1.5])
     def test_phase_outside_unit_interval_rejected(self, phase):
         with pytest.raises(ValueError, match=r"phase must lie in \[0, 1\)"):
-            PeriodicFlux(BoundaryFlux(np.zeros((4, 3), dtype=complex)), phase=phase)
+            PeriodicFlux(BoundaryFlux.from_dense(np.zeros((4, 3), dtype=complex)), phase=phase)
 
     def test_matches_sin(self):
-        per = PeriodicFlux(BoundaryFlux(np.zeros((4, 3), dtype=complex)), phase=0.0)
+        per = PeriodicFlux(BoundaryFlux.from_dense(np.zeros((4, 3), dtype=complex)), phase=0.0)
         assert periodic_factor(per, 4, 0.0625) == pytest.approx(np.sin(2 * np.pi * 0.25), abs=1e-15)
 
 

@@ -54,7 +54,7 @@ from stochqg.operators import (
 )
 from stochqg.spectral import Grid, build_vertical_operator, inverse_transform, make_profile
 
-from conftest import random_field
+from conftest import dense_coef, random_field
 
 H = 0.0625
 
@@ -63,8 +63,8 @@ def forcing_for(grid, vop, q0=0.0, amp=0.0, phase=0.0, seed=7, t_min=-2.0, t_max
                 n_modes=8, tau_c=0.5):
     model = make_noise_model(grid, n_modes, q0=q0, p=3.0, tau_c=tau_c)
     path = make_noise_path(seed, n_modes, H, t_min, t_max)
-    coef = amp * mode_flux(grid, boundary_modes(grid, 4)[2]).coef  # (1, 0) cos
-    periodic = PeriodicFlux(BoundaryFlux(coef), phase=phase)
+    coef = amp * dense_coef(mode_flux(grid, boundary_modes(grid, 4)[2]))  # (1, 0) cos
+    periodic = PeriodicFlux(BoundaryFlux.from_dense(coef), phase=phase)
     return build_forcing(grid, vop, model, periodic, path)
 
 
@@ -596,7 +596,7 @@ class TestReconstruction:
         # Neumann data (the known variational injection F_top * flux / w_top).
         diff = u_rec - u
         assert np.max(np.abs(diff[1:-1])) < 1e-10 * np.max(np.abs(u))
-        inj = vop.f_top * flux.coef / vop.weights[-1]
+        inj = vop.f_top * dense_coef(flux) / vop.weights[-1]
         assert np.max(np.abs(diff[-1] + inj)) < 1e-10 * np.max(np.abs(inj))
         assert np.max(np.abs(diff[0])) < 1e-10 * np.max(np.abs(u))
 

@@ -18,7 +18,7 @@ from stochqg.lift import (
 from stochqg.operators import inner_h
 from stochqg.spectral import build_vertical_operator, inverse_transform, make_profile, Grid
 
-from conftest import half_plane_band
+from conftest import dense_coef, half_plane_band
 
 
 def analytic_profile(z, kh):
@@ -34,24 +34,24 @@ class TestSolveLift:
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         for li, ki in [(1, 0), (grid.ny - 1, 0), (0, 1), (3, 2), (grid.ny - 2, 3), (2, 3)]:
             coef[li, ki] = complex(*rng.standard_normal(2))
-        dense = solve_lift(grid, vop, BoundaryFlux(coef))
+        dense = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         li = np.array([3, 0, 5, grid.ny - 2, 1, grid.ny - 1, 2])
         ki = np.array([2, 1, 5, 3, 0, 0, 3])
-        cols = solve_lift(grid, vop, BoundaryFlux(coef), (li, ki))
+        cols = solve_lift(grid, vop, BoundaryFlux.from_dense(coef), (li, ki))
         assert cols.shape == (grid.nz, li.size)
         assert cols.tobytes() == np.ascontiguousarray(dense[:, li, ki]).tobytes()
         with pytest.raises(ValueError, match="off the support columns"):
-            solve_lift(grid, vop, BoundaryFlux(coef), (li[1:], ki[1:]))
+            solve_lift(grid, vop, BoundaryFlux.from_dense(coef), (li[1:], ki[1:]))
 
     def test_zero_flux(self, grid, vop):
-        flux = BoundaryFlux(np.zeros((grid.ny, grid.nkx), dtype=complex))
+        flux = BoundaryFlux.from_dense(np.zeros((grid.ny, grid.nkx), dtype=complex))
         lift = solve_lift(grid, vop, flux)
         assert np.all(lift == 0.0)
 
     def test_analytic_cosh_profile(self, grid, vop):
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[0, 1] = 1.0  # mode (k, l) = (1, 0), unit coefficient
-        lift = solve_lift(grid, vop, BoundaryFlux(coef))
+        lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         got = lift[:, 0, 1].real
         expect = analytic_profile(grid.z, 1.0)
         # O(dz^2) at the desk resolution; the convergence test pins the order.
@@ -65,7 +65,7 @@ class TestSolveLift:
             vop = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
             coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
             coef[0, 1] = 1.0
-            lift = solve_lift(grid, vop, BoundaryFlux(coef))
+            lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
             expect = analytic_profile(grid.z, 1.0)
             errs.append(np.max(np.abs(lift[:, 0, 1].real - expect)))
         slopes = [
@@ -81,29 +81,29 @@ class TestSolveLift:
         c1[2, 3] = rng.standard_normal() + 1j * rng.standard_normal()
         c2[5, 1] = rng.standard_normal() + 1j * rng.standard_normal()
         a, b = 0.6, -2.2
-        combo = solve_lift(grid, vop, BoundaryFlux(a * c1 + b * c2))
-        parts = (a * solve_lift(grid, vop, BoundaryFlux(c1))
-                 + b * solve_lift(grid, vop, BoundaryFlux(c2)))
+        combo = solve_lift(grid, vop, BoundaryFlux.from_dense(a * c1 + b * c2))
+        parts = (a * solve_lift(grid, vop, BoundaryFlux.from_dense(c1))
+                 + b * solve_lift(grid, vop, BoundaryFlux.from_dense(c2)))
         assert np.max(np.abs(combo - parts)) < 1e-14
 
     def test_rejects_mean_flux(self, grid, vop):
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[0, 0] = 1.0
         with pytest.raises(ValueError):
-            solve_lift(grid, vop, BoundaryFlux(coef))
+            solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
 
     def test_interior_residual(self, grid, vop):
         rng = np.random.default_rng(31)
         coef = (rng.standard_normal((grid.ny, grid.nkx))
                 + 1j * rng.standard_normal((grid.ny, grid.nkx)))
         coef[0, 0] = 0.0
-        lift = solve_lift(grid, vop, BoundaryFlux(coef))
+        lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         assert lift_interior_residual(grid, vop, lift) < 1e-10
 
     def test_flux_recovery(self, grid, vop):
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[0, 1] = 1.0
-        lift = solve_lift(grid, vop, BoundaryFlux(coef))
+        lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         rec = recovered_top_flux(grid, vop, lift)
         # Exactly the imposed data at the solved column (the boundary row is
         # solved exactly); zero elsewhere.
@@ -114,7 +114,7 @@ class TestSolveLift:
     def test_monotone_toward_forced_boundary(self, grid, vop):
         coef = np.zeros((grid.ny, grid.nkx), dtype=complex)
         coef[3, 2] = 1.0
-        lift = solve_lift(grid, vop, BoundaryFlux(coef))
+        lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         prof = np.abs(lift[:, 3, 2])
         assert np.all(np.diff(prof) > 0.0)
 
@@ -123,9 +123,48 @@ class TestSolveLift:
         coef = (rng.standard_normal((grid.ny, grid.nkx))
                 + 1j * rng.standard_normal((grid.ny, grid.nkx)))
         coef[0, 0] = 0.0
-        lift = solve_lift(grid, vop, BoundaryFlux(coef))
+        lift = solve_lift(grid, vop, BoundaryFlux.from_dense(coef))
         # Zero (0,0) column entirely: horizontal mean vanishes at every level.
         assert np.max(np.abs(lift[:, 0, 0])) == 0.0
+
+
+class TestBoundaryFlux:
+    """The flux on its nonzero columns, in row-major order."""
+
+    @pytest.mark.parametrize("mode", [BoundaryMode(4, 0, -2, 1), BoundaryMode(2, 1, -1, 0)]
+                             + boundary_modes(Grid(32, 32, 17), 12))
+    def test_from_dense_of_mode_flux(self, grid, mode):
+        flux = mode_flux(grid, mode)
+        again = BoundaryFlux.from_dense(dense_coef(flux))
+        assert again.shape == flux.shape == (grid.ny, grid.nkx)
+        for name in ("li", "ki", "values"):
+            assert getattr(again, name).tobytes() == getattr(flux, name).tobytes()
+        assert flux.li.dtype == flux.ki.dtype == np.intp
+        assert len(flux.values) == (2 if mode.k == 0 else 1)
+        assert list(flux.li * grid.nkx + flux.ki) == sorted(flux.li * grid.nkx + flux.ki)
+
+    def test_entries_sorted_and_zeros_dropped(self):
+        flux = BoundaryFlux((4, 3), [3, 0, 1, 2, 0], [0, 2, 1, 2, 0], [1j, 2.0, 0.0, -0.0, 0.0])
+        assert flux.shape == (4, 3)
+        assert (flux.li.tolist(), flux.ki.tolist()) == ([0, 3], [2, 0])
+        assert flux.values.tolist() == [2.0, 1j]
+        empty = BoundaryFlux.from_dense(np.zeros((4, 3)))
+        assert empty.li.size == empty.ki.size == empty.values.size == 0
+
+    @pytest.mark.parametrize("li, ki, values, message", [
+        ([4], [1], [1.0], r"column \(4, 1\) outside flux shape \(4, 3\)"),
+        ([1], [3], [0.0], r"column \(1, 3\) outside flux shape \(4, 3\)"),
+        ([-1], [1], [1.0], r"column \(-1, 1\) outside flux shape"),
+        ([1, 0], [1, 0], [1.0, 0.5], r"flux on the \(0, 0\) column: .* mean-zero"),
+        ([1, 1], [2, 2], [1.0, 2.0], "flux names a column twice"),
+    ])
+    def test_rejects(self, li, ki, values, message):
+        with pytest.raises(ValueError, match=message):
+            BoundaryFlux((4, 3), li, ki, values)
+
+    def test_rejects_the_mean_mode(self, grid):
+        with pytest.raises(ValueError, match=r"\(0, 0\) column"):
+            mode_flux(grid, BoundaryMode(0, 0, 0, 0))
 
 
 class TestBoundaryModes:
@@ -143,7 +182,7 @@ class TestBoundaryModes:
             # Lift the face coefficients into a z-constant 3-D field and
             # integrate |.|^2 over one face via the H machinery: the face has
             # area (2pi)^2 while the H norm integrates over 2pi in z as well.
-            f3 = np.repeat(flux.coef[None, :, :], grid.nz, axis=0)
+            f3 = np.repeat(dense_coef(flux)[None, :, :], grid.nz, axis=0)
             face_sq = inner_h(ctx, f3, f3) / (2 * np.pi)
             assert abs(face_sq - 1.0) < 1e-12
             phys = inverse_transform(grid, f3)

@@ -45,7 +45,7 @@ def env(tmp_path_factory):
     ctx = build_context(grid, vop, nu=2.0, beta=1.0)
     model = make_noise_model(grid, 2, q0=0.05, p=3.0, tau_c=0.5)
     path = make_noise_path(3, 2, DT, -32.0, 8.0)
-    periodic = PeriodicFlux(BoundaryFlux(np.zeros((grid.ny, grid.nkx))))
+    periodic = PeriodicFlux(BoundaryFlux.from_dense(np.zeros((grid.ny, grid.nkx))))
     forcing = build_forcing(grid, vop, model, periodic, path)
     zero = np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
     estimate = AttractorEstimate(horizons=(1,), endpoints={1: [zero]}, diameters={},

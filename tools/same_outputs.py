@@ -27,6 +27,11 @@ Producers:
 - ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33 and
   128x128x17 (one pass, one pass, level blocks): its sha256 per grid, since
   ``validate`` prints only PASS/FAIL;
+- ``build_forcing``'s ``support`` (both index arrays) and ``basis`` through
+  ``cli.build_runtime(config.parse_config(text))``: their sha256 for the
+  defaults at 32x32x17; for 48x16x9 with a 0.5 periodic flux on (k, l) =
+  (0, 3), a conjugate pair of columns outside the first 8 noise modes; and
+  for 32x32x17 with a zero periodic flux on (2, 1), which adds no column;
 - ``config_hash(SimConfig())``.
 
 The digests depend on the BLAS kernels the host picks, so the two trees are
@@ -61,6 +66,23 @@ SIMULATE_RUNS = {
 }
 # Shown for information, not compared: metric -> (unit, format).
 INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
+# name -> config text of the forcing producer.
+FORCING_CONFIGS = {
+    "defaults": "",
+    "48x16x9 periodic (0, 3)": "grid.nx = 48\ngrid.ny = 16\ngrid.nz = 9\nperiodic.amplitude = 0.5\n"
+                               "periodic.mode_k = 0\nperiodic.mode_l = 3\n",
+    "zero periodic (2, 1)": "periodic.amplitude = 0\nperiodic.mode_k = 2\nperiodic.mode_l = 1\n",
+}
+# Prints one JSON object: name -> sha256 of support li, support ki and basis.
+FORCING = f"""
+import hashlib, json
+from stochqg import cli, config
+out = {{}}
+for name, text in {FORCING_CONFIGS!r}.items():
+    forcing = cli.build_runtime(config.parse_config(text)).forcing
+    out[name] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (*forcing.support, forcing.basis)]
+print(json.dumps(out))
+"""
 CONFIG_HASH = "from stochqg.config import SimConfig, config_hash; print(config_hash(SimConfig()))"
 # Prints "<grid> <sha256 of jacobian>" per grid, through API every tree has.
 JACOBIAN = """
@@ -158,6 +180,13 @@ class Tree:
             out[f"jacobian {grid}"] = digest
         if code:
             out["jacobian"] = f"failed (exit {code})"
+
+        code, stdout = self.run([py, "-c", FORCING], self.scratch)
+        digests = json.loads(stdout) if code == 0 else {}
+        for name in FORCING_CONFIGS:
+            for part, digest in zip(("support li", "support ki", "basis"),
+                                    digests.get(name, [f"failed (exit {code})"] * 3)):
+                out[f"forcing {name} {part}"] = digest
 
         code, stdout = self.run([py, "-c", CONFIG_HASH], self.scratch)
         out["config_hash(SimConfig())"] = stdout.strip() if code == 0 else f"failed (exit {code})"

@@ -55,7 +55,7 @@ class PullbackConfig:
             raise ValueError(f"unknown sampling rule {self.sampling_rule!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class AttractorEstimate:
     """Pullback endpoints at the observation time, per horizon."""
 
@@ -294,7 +294,7 @@ def invariance_check(estimate: AttractorEstimate, ctx: OperatorContext,
     return dist_h(ctx, flowed, est_t.endpoints[T])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthDiagnostic:
     times: np.ndarray
     log_plus: np.ndarray

@@ -67,7 +67,7 @@ def _stream(seed: int, namespace: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), namespace) + enc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Truncated boundary-noise covariance and correlation time."""
 
@@ -98,7 +98,7 @@ def make_noise_model(grid: Grid, n_modes: int, q0: float, p: float, tau_c: float
                       modes=modes, q=q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicFlux:
     """Deterministic top-face flux u0 * sin(2pi (t + phase)), period 1, phase in [0, 1)."""
 
@@ -110,7 +110,7 @@ class PeriodicFlux:
             raise ValueError("phase must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
     """Wiener increments per boundary mode on an absolute step grid.
 
@@ -255,7 +255,7 @@ def load_noise_path(fname) -> NoisePath:
                      i0_abs=i0, n_steps=n_steps, _stored=data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OUBoundaryState:
     """Per-mode colored-noise state at an absolute noise gridpoint."""
 
@@ -339,7 +339,7 @@ def periodic_factor(periodic: PeriodicFlux, step_index: int, dt: float) -> float
     return float(np.sin(2.0 * np.pi * (step_index * dt + periodic.phase)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForcingSetup:
     """Precomputed bundle consumed by the integrator and the attractor lab.
 

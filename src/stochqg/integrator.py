@@ -33,7 +33,6 @@ terms) on first use and keeps them.  The lift lives on the columns of
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import struct
 from dataclasses import dataclass, field
@@ -49,6 +48,7 @@ from .operators import (
     apply_G,
     from_modes,
     inner_h,
+    jacobian_work,
     lift_terms,
     modal_norms,
     nonzero_columns,
@@ -61,22 +61,6 @@ from .spectral import Grid, inverse_transform, mean_defect, project_mean_zero, r
 _SNAP_MAGIC = b"SQGSNAP1"
 _SNAP_HEADER = struct.Struct("<8sIIIIIqdd16s16s")
 _SNAP_VERSION = 1
-
-
-@functools.cache
-def _keep_step_memory() -> None:
-    """Fix glibc's heap thresholds so stepping reuses freed pages.
-
-    A step frees dozens of field-sized temporaries.  glibc's default
-    thresholds follow the largest block freed so far, so each step would
-    return pages to the system and fault them in again.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free heap
 
 
 class CFLViolation(RuntimeError):
@@ -126,7 +110,8 @@ class Run:
 
     @functools.cached_property
     def efac(self) -> np.ndarray:
-        return np.exp(-self.ctx.nu * self.ctx.lam * self.dt)
+        e = np.multiply(-self.ctx.nu, self.ctx.lam)  # built in place: no temporaries
+        return np.exp(np.multiply(e, self.dt, out=e), out=e)
 
     def lift(self, n: int, held: int | None = None) -> np.ndarray:
         """The lift at step n on ``forcing.support``: OU part held at the noise gridpoint
@@ -141,7 +126,7 @@ class Run:
                             dt=self.dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
     """Flow state: potential vorticity u at step n (t = n * run.dt), xi, and its run.
 
@@ -202,7 +187,7 @@ class DiagnosticsRecord:
     dt: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     final: SimState
     snapshots: list
@@ -224,7 +209,14 @@ def xi_step(xi: float, lift, dt: float, ctx: OperatorContext) -> float:
     return _xi_update(xi, lift_terms(ctx, *nonzero_columns(lift))[0], dt, ctx)
 
 
-def step(state: SimState, linear_only: bool = False, *, _release: bool = False) -> SimState:
+def step_arrays(ctx: OperatorContext) -> tuple:
+    """New arrays for ``step``: psi (G(u) + lift, then the tendency over it), N0 (the predictor's
+    b_x before it) and ``jacobian_work``'s, whose first also holds c_pred and c1."""
+    new = functools.partial(np.empty, (ctx.grid.nz, ctx.grid.ny, ctx.grid.nkx), complex)
+    return new(), new(), jacobian_work(ctx, spec=new())
+
+
+def step(state: SimState, linear_only: bool = False, *, work: tuple | None = None) -> SimState:
     """One IMEX step from t = n*dt to (n+1)*dt under the state's run.
 
     Predictor/corrector on the integrating-factor-transformed system:
@@ -233,57 +225,54 @@ def step(state: SimState, linear_only: bool = False, *, _release: bool = False) 
     holds the OU part at the step's start, matching the sample-hold
     convention; the new state's lift takes the gridpoint it ends on.
 
-    ``_release`` is for ``simulate``, which drops the state this step
-    replaces: the state's ``u`` and ``lift`` are deleted after the predictor,
-    so the corrector's peak does not hold them.
+    The intermediates go into ``work`` (``step_arrays``, new by default),
+    which changes no bit of the result; ``state`` is only read.  The step
+    drops its reference to ``state`` after the predictor, so a caller that
+    hands over its only one, as ``simulate`` does, has the old u freed there.
     """
-    run, dt, ctx = state.run, state.run.dt, state.run.ctx
-    n1 = state.n + 1
-    efac = run.efac
+    run, dt, ctx, n = state.run, state.run.dt, state.run.ctx, state.n
+    n1 = n + 1
+    psi, n0_modes, jac = step_arrays(ctx) if work is None else work
+    modal, efac = jac[0], run.efac
     c0 = state.modes
 
-    # Every update writes into an array the step owns, with the operands in
-    # the order of the formula above, and each array goes after its last use.
+    # Each update writes into ``work`` or a new array, operands in the formula's
+    # order; -inv_lam sits in psi's real parts until from_modes writes psi.
     li, ki = run.forcing.support
-    psi = from_modes(ctx, -ctx.inv_lam * c0)
+    neg_inv_lam = np.negative(ctx.inv_lam, out=psi.real)
+    from_modes(ctx, np.multiply(neg_inv_lam, c0, out=modal), out=psi)
     psi[:, li, ki] += state.lift
-    r0, limit = tendency(ctx, state.u, psi, linear_only, cfl=True)
+    _, limit = tendency(ctx, state.u, psi, linear_only, cfl=True, work=jac, spare=n0_modes)
     if dt > limit:
         raise CFLViolation(dt, limit)
-    n0_modes = to_modes(ctx, r0)
-    del psi, r0
+    to_modes(ctx, psi, out=n0_modes)
     xi1 = _xi_update(state.xi, state.vdual_liftx, dt, ctx)
-    if _release:
-        del state.__dict__["u"], state.__dict__["lift"]
+    del state
 
-    c_pred = np.multiply(dt, n0_modes)
+    c_pred = np.multiply(dt, n0_modes, out=modal)
     np.add(c0, c_pred, out=c_pred)
     np.multiply(efac, c_pred, out=c_pred)
     u_pred = from_modes(ctx, c_pred)
     remove_mean(u_pred, ctx.zw)
-    np.multiply(-ctx.inv_lam, c_pred, out=c_pred)
-    psi = from_modes(ctx, c_pred)
-    del c_pred
+    np.multiply(np.negative(ctx.inv_lam, out=neg_inv_lam), c_pred, out=c_pred)
+    from_modes(ctx, c_pred, out=psi)
 
     # The stochastic coefficients are held over the whole step (the corrector
     # sees the left limit at a noise gridpoint); only the periodic factor
     # advances to t1.  The OU jump lands between steps, which keeps the Heun
     # quadrature exactly consistent with the sample-held forcing.
-    psi[:, li, ki] += run.lift(n1, held=state.n)
-    r1, _ = tendency(ctx, u_pred, psi, linear_only)
-    del psi, u_pred
+    psi[:, li, ki] += run.lift(n1, held=n)
+    tendency(ctx, u_pred, psi, linear_only, work=jac, spare=u_pred)  # uses u_pred up
+    del u_pred
     np.multiply(efac, n0_modes, out=n0_modes)
-    np.add(n0_modes, to_modes(ctx, r1), out=n0_modes)
-    del r1
+    np.add(n0_modes, to_modes(ctx, psi, out=modal), out=n0_modes)
     np.multiply(0.5 * dt, n0_modes, out=n0_modes)
-    c1 = np.multiply(efac, c0)
+    c1 = np.multiply(efac, c0, out=modal)
     np.add(c1, n0_modes, out=c1)
-    del n0_modes
     u1 = from_modes(ctx, c1)
-    del c1
     remove_mean(u1, ctx.zw)
 
-    h2 = inner_h(ctx, u1, u1)
+    h2 = inner_h(ctx, u1, u1, scratch=psi)
     if not np.isfinite(h2):
         raise BlowupError(f"non-finite state at t={n1 * dt:g}")
     if xi1 > 0.0 and h2 > 1e6 * 2.0 * xi1:
@@ -297,17 +286,21 @@ def step(state: SimState, linear_only: bool = False, *, _release: bool = False) 
 def initial_state(run: Run, u0: np.ndarray, t0: float) -> SimState:
     """SimState at t0; its lift holds the OU state of the last noise gridpoint <= t0.
 
-    The mean-zero projection is applied only when the input actually has a
+    u0 must be a finite spectral field of shape (nz, ny, nkx).  The
+    mean-zero projection is applied only when the input actually has a
     mean-mode defect: re-projecting an already projected field would move it
     by rounding-level amounts, which would break the bitwise cocycle identity
     when a run is split into legs.
     """
-    _keep_step_memory()
+    ctx, u0 = run.ctx, np.asarray(u0, dtype=complex)
+    if u0.shape != (shape := (ctx.grid.nz, ctx.grid.ny, ctx.grid.nkx)):
+        raise ValueError(f"u0 has shape {u0.shape}, expected (nz, ny, nkx) = {shape}")
     n0 = grid_steps(t0, run.dt, "t0")
     lift = run.lift(n0)  # also checks that the path covers t0
-    ctx, u0 = run.ctx, np.asarray(u0, dtype=complex)
     u0 = project_mean_zero(ctx.grid, u0, ctx.zw) if mean_defect(u0, ctx.zw) > 1e-14 else u0.copy()
     h2 = inner_h(ctx, u0, u0)
+    if not np.isfinite(h2):
+        raise ValueError(f"u0 is not finite: ||u0||_H^2 = {h2}")
     state = SimState(u=u0, n=n0, xi=float(h2), run=run)
     state.__dict__.update(h2=h2, lift=lift)  # seeds the cached_properties, as in step
     return state
@@ -323,10 +316,11 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     They are stored as copies in ``SimResult.snapshots`` unless a
     ``snapshot_sink(t, u)`` is given; the sink is handed each snapshot when
     it is taken, must not modify ``u``, and the list then stays empty.
-    Only the current state is kept between steps, and each step drops the
-    state it replaces once its predictor is done.  Identical (path seed,
-    config) inputs give bitwise-identical output.  The noise path must cover
-    the lift of every state up to t1; that is checked before the first step.
+    Each step gets the only reference to the state it replaces (on CPython
+    3.11+ freed after its predictor) and writes into one ``step_arrays`` set.
+    Identical (path seed, config) inputs give bitwise-identical output.  The
+    noise path must cover the lift of every state up to t1; that is checked
+    before the first step.
     """
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
@@ -345,10 +339,13 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     diagnostics = []
     # Each state's budget terms serve the steps on either side of it.
     terms = state.budget_terms if record_diagnostics else None
+    work = step_arrays(ctx)
     for k in range(n_steps):
         t_prev = state.t
-        state = step(state, linear_only=linear_only, _release=True)
+        held, state = [state], None  # so step holds the only reference
+        state = step(held.pop(), linear_only=linear_only, work=work)
         if record_diagnostics:
+            state.__dict__["norms"] = modal_norms(ctx, state.modes, work[0])  # psi is idle
             start, terms = terms, state.budget_terms
             diagnostics.append(DiagnosticsRecord(
                 t=state.t, h=state.norms.h, v=state.norms.v, vdual_liftx=state.vdual_liftx,
@@ -356,6 +353,7 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
                 dt=dt))
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:
             snapshot_sink(state.t, state.u)
+    del work  # before the last snapshot, which the default sink copies
     snapshot_sink(state.t, state.u)
     return SimResult(final=state, snapshots=snapshots, diagnostics=diagnostics)
 
@@ -406,10 +404,9 @@ def save_snapshot(fname, grid: Grid, u: np.ndarray, t: float, n: int, dt: float,
         config_hash.encode()[:16].ljust(16, b"\0"),
         code_version.encode()[:16].ljust(16, b"\0"),
     )
-    data = np.ascontiguousarray(u.transpose(1, 2, 0), dtype="<c16")  # mode-major
     with open(fname, "wb") as fh:
         fh.write(header)
-        fh.write(data)
+        fh.writelines(np.ascontiguousarray(r, dtype="<c16") for r in u.transpose(1, 2, 0))
 
 
 def load_snapshot(fname):

@@ -23,7 +23,7 @@ from .operators import nonzero_columns
 from .spectral import Grid, VerticalOperator, unit_mode_coef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFlux:
     """Top-face Neumann data: the nonzero entries of an (ny, nkx) rfft2 array of ``shape``.
 

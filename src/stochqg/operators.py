@@ -60,7 +60,7 @@ SINGLE_PASS_BYTES = 2 << 20
 BLOCK_BYTES = 256 << 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorContext:
     """Grid, vertical factorization, physical parameters, cached multipliers.
 
@@ -141,20 +141,22 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
     )
 
 
-def _vertical(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The real matrix mat on each vertical column of complex x, as one dgemm on its float view."""
+def _vertical(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """mat on each vertical column of complex x: one dgemm on float views, into C-contiguous out."""
     flat = np.ascontiguousarray(x.reshape(mat.shape[1], -1)).view(np.float64)
-    return (mat @ flat).view(np.complex128).reshape(x.shape)
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    np.matmul(mat, flat, out=out.reshape(mat.shape[1], -1).view(np.float64))
+    return out
 
 
-def to_modes(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
-    """Level profiles -> vertical eigenbasis coefficients (same shape)."""
-    return _vertical(ctx.phi_inv, u)
+def to_modes(ctx: OperatorContext, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Level profiles -> vertical eigenbasis coefficients (same shape), into ``out`` if given."""
+    return _vertical(ctx.phi_inv, u, out)
 
 
-def from_modes(ctx: OperatorContext, c: np.ndarray) -> np.ndarray:
-    """Vertical eigenbasis coefficients -> level profiles."""
-    return _vertical(ctx.vop.phi, c)
+def from_modes(ctx: OperatorContext, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vertical eigenbasis coefficients -> level profiles, into ``out`` if given."""
+    return _vertical(ctx.vop.phi, c, out)
 
 
 def _require_mean_zero(ctx, u, what):
@@ -190,28 +192,36 @@ def deriv_x(ctx: OperatorContext, fhat: np.ndarray) -> np.ndarray:
     return ctx.dx_mult * fhat
 
 
-def _block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool):
+def jacobian_work(ctx: OperatorContext, spec=None) -> tuple[np.ndarray, ...]:
+    """A complex (``spec`` if given) and two physical arrays for the largest of ``ctx.blocks``."""
+    g, lv = ctx.grid, max(blk.stop - blk.start for blk in ctx.blocks)
+    spec = np.empty((lv, g.ny, g.nkx), dtype=complex) if spec is None else spec
+    return spec, np.empty((lv, g.ny, g.nx)), np.empty((lv, g.ny, g.nx))
+
+
+def _block_product(ctx: OperatorContext, a: np.ndarray, b: np.ndarray, maxima: bool, work, spare):
     """Dealiased J(a, b) = a_x b_y - a_y b_x of spectral a, b on one of ``ctx.blocks``.
 
     The derivative multipliers carry the dealias mask, so only the band of a
     and b enters the collocation product, and the product is masked to the
-    band again.  Returns (jhat, grad), jhat not mean-zero projected.  With
-    ``maxima``, grad is (max |a_x|, max |a_y|), which bound the advective
-    CFL number when a is the streamfunction; otherwise it is None.  The two
-    products are formed one at a time, so at most three physical fields of
-    the block are alive at once.
+    band again.  Returns (jhat, grad), jhat not mean-zero projected and
+    written into ``work`` (``jacobian_work``).  With ``maxima``, grad is
+    (max |a_x|, max |a_y|), which bound the advective CFL number when a is
+    the streamfunction; otherwise it is None.  The products are formed one at
+    a time; b_x goes into the float storage of ``spare`` (C-contiguous, of
+    b's shape) after b is read for the last time, so ``spare`` may be b.
     """
-    grid = ctx.grid
-    prod = inverse_transform(grid, ctx.dxm_mult * a)                  # a_x
-    ax_max = float(np.max(np.abs(prod))) if maxima else None
-    prod *= inverse_transform(grid, ctx.dym_mult * b)                 # a_x b_y
-    ay = inverse_transform(grid, ctx.dym_mult * a)
-    grad = (ax_max, float(np.max(np.abs(ay)))) if maxima else None
-    ay *= inverse_transform(grid, ctx.dxm_mult * b)                   # a_y b_x
+    grid, lv = ctx.grid, a.shape[0]
+    jhat, prod, ay = (w[:lv] for w in work)
+    inverse_transform(grid, np.multiply(ctx.dxm_mult, a, out=jhat), out=prod)    # a_x
+    ax_max = max(prod.max(), -prod.min()) if maxima else None  # NaN if prod holds one
+    prod *= inverse_transform(grid, np.multiply(ctx.dym_mult, b, out=jhat), out=ay)  # a_x b_y
+    inverse_transform(grid, np.multiply(ctx.dym_mult, a, out=jhat), out=ay)
+    grad = (ax_max, max(ay.max(), -ay.min())) if maxima else None
+    bx = spare.view(np.float64)[..., :grid.nx]
+    ay *= inverse_transform(grid, np.multiply(ctx.dxm_mult, b, out=jhat), out=bx)    # a_y b_x
     prod -= ay
-    del ay
-    jhat = forward_transform(grid, prod)
-    del prod
+    jhat = forward_transform(grid, prod, out=jhat)
     jhat *= ctx.mask[None, :, :]
     return jhat, grad
 
@@ -230,27 +240,31 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
     b = _as_spectral(ctx, b)
     if not (np.any(a) and np.any(b)):
         return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
-    jhat = np.empty(a.shape, dtype=complex)
-    for blk in ctx.blocks:
-        jhat[blk], _ = _block_product(ctx, a[blk], b[blk], False)
+    jhat, work = np.empty(a.shape, dtype=complex), jacobian_work(ctx)
+    for blk in ctx.blocks:  # each block's b_x goes where its J will
+        jhat[blk], _ = _block_product(ctx, a[blk], b[blk], False, work, jhat[blk])
     remove_mean(jhat, ctx.zw)
     return jhat
 
 
 def tendency(ctx: OperatorContext, u: np.ndarray, psi: np.ndarray, linear_only: bool,
-             cfl: bool = False):
+             cfl: bool = False, work=None, spare=None):
     """Explicit tendency N(u) = -beta * psi_x - J(psi, u), written over psi, and the dt limit.
 
     ``psi`` is G(u) + lift, so -beta * psi_x = f - D(u) and J(psi, u) =
     B(u) + C(lift, u).  Each block of ``ctx.blocks`` becomes its part of N
     once its Jacobian is made, so a level-blocked grid holds no whole-field
     J.  The advective dt limit is found only with ``cfl`` and a nonlinear
-    step; otherwise it is inf.
+    step; otherwise it is inf.  The Jacobian writes into ``work`` and ``spare``
+    (new by default; ``spare`` may be u, which is then used up).
     """
     grads = []
+    work = jacobian_work(ctx) if work is None else work
+    spare = np.empty(psi.shape, dtype=complex) if spare is None else spare
     for blk in ctx.blocks:
         part = psi[blk]
-        jhat, grad = (None, None) if linear_only else _block_product(ctx, part, u[blk], cfl)
+        jhat, grad = ((None, None) if linear_only else
+                      _block_product(ctx, part, u[blk], cfl, work, spare[blk]))
         np.multiply(ctx.dx_mult, part, out=part)
         np.multiply(-ctx.beta, part, out=part)
         if jhat is not None:
@@ -320,9 +334,9 @@ class Norms(NamedTuple):
     vdual: float
 
 
-def inner_h(ctx: OperatorContext, u: np.ndarray, v: np.ndarray) -> float:
-    """L2(O) inner product of the real fields behind u, v (quadrature exact)."""
-    prod = (u * np.conj(v)).real
+def inner_h(ctx: OperatorContext, u: np.ndarray, v: np.ndarray, scratch=None) -> float:
+    """L2(O) inner product of the real fields behind u, v (quadrature exact), via ``scratch``."""
+    prod = np.multiply(u, np.conj(v, out=scratch), out=scratch).real
     return ctx.hfac * float(np.einsum("j,k,jlk->", ctx.zw, ctx.colw, prod))
 
 
@@ -339,9 +353,9 @@ def norms(ctx: OperatorContext, u: np.ndarray) -> Norms:
     return modal_norms(ctx, to_modes(ctx, u))
 
 
-def modal_norms(ctx: OperatorContext, c: np.ndarray) -> Norms:
-    """The norms of ``norms`` from the vertical-mode coefficients c = to_modes(u)."""
-    p = _power(c, ctx.colw)
+def modal_norms(ctx: OperatorContext, c: np.ndarray, scratch=None) -> Norms:
+    """The norms of ``norms`` from the vertical-mode coefficients c = to_modes(u), via ``scratch``."""
+    p = _power(c, ctx.colw, scratch)
     # einsum, not a BLAS dot, whose threaded partial sums depend on the thread count.
     h2 = ctx.hfac * float(np.sum(p))
     v2 = ctx.hfac * float(np.einsum("mlk,mlk->", p, ctx.lam))
@@ -349,10 +363,11 @@ def modal_norms(ctx: OperatorContext, c: np.ndarray) -> Norms:
     return Norms(np.sqrt(max(h2, 0.0)), np.sqrt(max(v2, 0.0)), np.sqrt(max(vd2, 0.0)))
 
 
-def _power(c: np.ndarray, colw: np.ndarray) -> np.ndarray:
-    """|c|^2 times the rfft column multiplicities."""
-    p = c.real * c.real
-    p += c.imag * c.imag
+def _power(c: np.ndarray, colw: np.ndarray, scratch=None) -> np.ndarray:
+    """|c|^2 times the rfft column multiplicities, in the float storage of ``scratch`` if given."""
+    p, sq = [None] * 2 if scratch is None else scratch.view(np.float64).reshape(2, *c.shape)
+    p = np.multiply(c.real, c.real, out=p)
+    p += np.multiply(c.imag, c.imag, out=sq)
     p *= colw
     return p
 

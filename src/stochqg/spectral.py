@@ -11,9 +11,8 @@ transform.  Field layout conventions:
     physical:  real    (nz, ny, nx)     values at (z_j, y, x) nodes
     spectral:  complex (nz, ny, nx//2+1) rfft2 over axes (1, 2), normalized
 
-The normalization 1/(nx*ny) sits on the forward transform and is applied
-inside pocketfft (``norm="forward"``), so neither transform makes a separate
-scaling pass over the field.
+The normalization 1/(nx*ny) sits on the forward transform, one scaling
+pass between its x and y passes; the inverse makes none (``norm="forward"``).
 
 The mean-zero state space drops the (k, l) = (0, 0) vertically-constant
 component; ``remove_mean`` removes it exactly, in place.
@@ -31,7 +30,7 @@ from scipy.linalg import eigh_tridiagonal
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratificationProfile:
     """Coriolis parameter f0 and buoyancy frequency N(z) on the levels.
 
@@ -210,7 +209,7 @@ class Grid:
         return level_quadrature(self.nz)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerticalOperator:
     """Discrete L = -(F(z) d/dz .)' with homogeneous Neumann ends.
 
@@ -306,23 +305,32 @@ def _check_levels(grid: Grid, shape: tuple, trailing: tuple, what: str) -> None:
                          f"{(grid.nz, *trailing)} or a block of its levels")
 
 
-def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
+def forward_transform(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Physical (levels, ny, nx) real field -> normalized spectral coefficients.
 
     ``levels`` is nz for a whole field or any smaller count for a block of
     levels; each level is transformed on its own, so a block's result is
-    bitwise the same levels of the whole-field result.
+    bitwise the same levels of the whole-field result.  numpy's x pass writes
+    into ``out`` and scipy's y pass works in place there: the pair gives scipy
+    ``rfft2``'s bits on every shape, numpy's ``rfftn`` not when ny is no power of 2.
     """
     f = np.asarray(f)
     _check_levels(grid, f.shape, (grid.ny, grid.nx), "field")
-    return _fft.rfft2(f, axes=(1, 2), norm="forward")
+    out = np.fft.rfft(f, axis=2, out=out)
+    out *= 1.0 / (grid.nx * grid.ny)
+    _fft.fft(out, axis=1, overwrite_x=True)  # in place on a complex128 array
+    return out
 
 
-def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Normalized spectral coefficients -> physical real field, whole or a level block."""
+def inverse_transform(grid: Grid, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized spectral coefficients -> physical real field, whole or a level block.
+
+    With ``out`` the field is written there and ``fhat`` is used as scratch.
+    """
     fhat = np.asarray(fhat)
     _check_levels(grid, fhat.shape, (grid.ny, grid.nkx), "spectral")
-    return _fft.irfft2(fhat, s=(grid.ny, grid.nx), axes=(1, 2), norm="forward")
+    half = np.fft.ifft(fhat, axis=1, norm="forward", out=None if out is None else fhat)
+    return np.fft.irfft(half, n=grid.nx, axis=2, norm="forward", out=out)
 
 
 def hermitian_defect(grid: Grid, fhat: np.ndarray) -> float:

@@ -1,17 +1,21 @@
 """IMEX stepping, energy budget, the xi bound, and reconstruction."""
 
+import copy
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochqg import forcing, integrator
+from stochqg.attractor import AttractorEstimate, PullbackConfig, growth_diagnostic
 from stochqg.forcing import (
     PeriodicFlux,
     build_forcing,
@@ -34,6 +38,7 @@ from stochqg.integrator import (
     save_snapshot,
     simulate,
     step,
+    step_arrays,
     write_diagnostics_csv,
     xi_step,
 )
@@ -452,6 +457,113 @@ class TestFieldLifetimes:
         field = u0.nbytes
         assert len(res.diagnostics) == 2
         assert peak <= bound * field, peak / field
+
+
+class TestStepArrays:
+    """A step writes into arrays of its own and only reads the state it is given."""
+
+    def _state(self, ctx, grid, vop):
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=11)
+        u0 = 0.2 * random_field(ctx, np.random.default_rng(48), decay=2.0)
+        return setup, u0, initial_state(Run(ctx, setup, H), u0, 0.0)
+
+    def test_step_leaves_its_state_unchanged(self, ctx, grid, vop):
+        _, _, st = self._state(ctx, grid, vop)
+        u, modes = st.u.copy(), st.modes.copy()
+        work = step_arrays(ctx)
+        results = [step(st), step(st), step(st, work=work), step(st, work=work)]
+        assert st.u.tobytes() == u.tobytes() and st.modes.tobytes() == modes.tobytes()
+        for res in results[1:]:
+            assert res.u.tobytes() == results[0].u.tobytes()
+            assert (res.n, res.xi, res.h2) == (results[0].n, results[0].xi, results[0].h2)
+
+    def test_replaced_state_freed_before_the_corrector(self, ctx, grid, vop, monkeypatch):
+        # simulate hands each step the only reference to the state it
+        # replaces, so that state's u is gone by the corrector's tendency.
+        # CPython 3.10 keeps a call's arguments on the caller's stack until
+        # the call returns, so there it is still alive.
+        setup, u0, _ = self._state(ctx, grid, vop)
+        refs, alive = [], []
+        tendency = integrator.tendency
+
+        def traced(*args, cfl=False, **kwargs):
+            if not cfl:
+                alive.append(refs[-1]() is not None)
+            return tendency(*args, cfl=cfl, **kwargs)
+
+        monkeypatch.setattr(integrator, "tendency", traced)
+        simulate(ctx, setup, u0, 0.0, 4 * H, H, snapshot_every=1,
+                 snapshot_sink=lambda t, u: refs.append(weakref.ref(u)))
+        assert alive == [sys.version_info < (3, 11)] * 4
+
+    @pytest.mark.parametrize("case", ["physical", "2-D", "nz-1 levels", "NaN"])
+    def test_bad_u0_rejected_before_any_step(self, ctx, grid, vop, case, monkeypatch):
+        setup = forcing_for(grid, vop)
+        good = 0.2 * random_field(ctx, np.random.default_rng(50))
+        nan = good.copy()
+        nan[2, 3, 4] = np.nan
+        u0 = {"physical": np.zeros((grid.nz, grid.ny, grid.nx)), "2-D": good[0],
+              "nz-1 levels": good[1:], "NaN": nan}[case]
+        steps = []
+        monkeypatch.setattr(integrator, "step", lambda *a, **k: steps.append(a))
+        match = "not finite" if case == "NaN" else r"expected \(nz, ny, nkx\) = \(17, 32, 17\)"
+        with pytest.raises(ValueError, match=match):
+            simulate(ctx, setup, u0, 0.0, 4 * H, H)
+        assert steps == []
+
+
+# Prints the minor page faults of each step of the second of two equal
+# simulate calls, read at the snapshot taken after every step.
+_FAULTS = r"""
+import json, resource, sys
+from stochqg import cli, config, integrator
+rt = cli.build_runtime(config.parse_config(sys.argv[1]))
+u0, cfg, marks = cli.initial_field(rt), rt.cfg, []
+for _ in range(2):
+    marks.clear()
+    integrator.simulate(rt.ctx, rt.forcing, u0, cfg.t0, cfg.t1, cfg.dt, snapshot_every=1,
+                        record_diagnostics=sys.argv[2] == "1",
+                        snapshot_sink=lambda t, u: marks.append(
+                            resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
+"""
+
+
+@pytest.mark.parametrize("n, nz, t1, diagnostics", [(32, 17, 1.0, False), (64, 33, 0.5, True)],
+                         ids=["32x32x17", "64x64x33-diagnostics"])
+def test_steps_reuse_their_pages(n, nz, t1, diagnostics):
+    # A step allocates only arrays the size of those it frees, so once a call
+    # is under way its steps fault no pages in.  The first step of a call
+    # also touches the step arrays the call makes, which the allocator may
+    # have handed back to the system since the last call; it is not counted.
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    text = f"grid.nx = {n}\ngrid.ny = {n}\ngrid.nz = {nz}\ninit.kind = random\ntime.t1 = {t1}\n"
+    out = subprocess.run([sys.executable, "-c", _FAULTS, text, str(int(diagnostics))], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    faults = json.loads(out.stdout)
+    assert len(faults) == round(t1 / H)
+    assert max(faults[1:]) < 50, faults
+
+
+def test_array_dataclasses_compare_by_identity(ctx, grid, vop):
+    # A field-wise == over array fields raises (the truth value of an array
+    # is ambiguous), so each of these compares and hashes by identity.
+    setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2)
+    flux = next(mode_flux(grid, m) for m in boundary_modes(grid, 8) if m.k == 0)
+    res = simulate(ctx, setup, np.zeros((grid.nz, grid.ny, grid.nkx), complex), 0.0, 2 * H, H)
+    series = [(0.1 * k, 1.0 + 0.01 * k) for k in range(50)]
+    objects = [flux, setup.periodic, setup.model, setup.path,
+               init_ou_state(setup.model, setup.path, 0.0), setup, vop.profile, vop, ctx,
+               res.final, res, growth_diagnostic(series),
+               AttractorEstimate((1,), {1: [res.final.u]}, {1: 0.0}, {}, {1: 1.0},
+                                 PullbackConfig(horizons=(1,), ensemble=8))]
+    assert len(flux.values) == 2
+    for obj in objects:
+        assert (obj == copy.copy(obj)) is False and obj == obj, type(obj).__name__
+        assert hash(obj) == hash(obj)
 
 
 class TestBlockInvariance:

@@ -60,13 +60,14 @@ class TestApplyA:
         au = apply_A(ctx, u)
         assert np.max(np.abs(au - mu1 * u)) < 1e-11
 
-    def test_coercivity_random(self, ctx):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            u = random_field(ctx, rng)
-            lhs = inner_h(ctx, apply_A(ctx, u), u)
-            rhs = ctx.lambda1 * inner_h(ctx, u, u)
-            assert lhs >= rhs * (1.0 - 1e-12)
+    def test_coercivity_random(self, ctx, varying_ctx):
+        for c in (ctx, varying_ctx):
+            rng = np.random.default_rng(5)
+            for _ in range(10):
+                u = random_field(c, rng)
+                lhs = inner_h(c, apply_A(c, u), u)
+                rhs = c.lambda1 * inner_h(c, u, u)
+                assert lhs >= rhs * (1.0 - 1e-12)
 
     def test_rejects_non_mean_zero(self, ctx):
         u = np.zeros((ctx.grid.nz, ctx.grid.ny, ctx.grid.nkx), dtype=complex)
@@ -76,11 +77,11 @@ class TestApplyA:
 
 
 class TestApplyG:
-    def test_inverse_of_A(self, ctx):
-        rng = np.random.default_rng(6)
-        u = random_field(ctx, rng)
-        g = apply_G(ctx, apply_A(ctx, u))
-        assert norm_h(ctx, g + u) <= 1e-11 * norm_h(ctx, u)
+    def test_inverse_of_A(self, ctx, varying_ctx):
+        for c in (ctx, varying_ctx):
+            u = random_field(c, np.random.default_rng(6))
+            g = apply_G(c, apply_A(c, u))
+            assert norm_h(c, g + u) <= 1e-11 * norm_h(c, u)
 
     def test_diagonal_action(self, ctx):
         f = unit_eigenmode(ctx, 2, 1, 3, kind="sin")
@@ -162,10 +163,19 @@ def whole_field_product(ctx, a, b, maxima=False):
     return jhat, grad
 
 
-def _context(nx, nz, ny=None):
+def _context(nx, nz, ny=None, n_of_z=1.0):
     grid = Grid(nx=nx, ny=ny or nx, nz=nz)
-    return build_context(grid, build_vertical_operator(make_profile(1.0, 1.0, nz), nz),
+    return build_context(grid, build_vertical_operator(make_profile(1.0, n_of_z, nz), nz),
                          nu=0.5, beta=1.0)
+
+
+# A depth-varying buoyancy frequency, N_j = 1 + j/8 on 9 levels.
+VARYING_N = 1.0 + np.arange(9) / 8.0
+
+
+@pytest.fixture(scope="module")
+def varying_ctx():
+    return _context(32, 9, n_of_z=VARYING_N)
 
 
 @pytest.fixture(scope="module")
@@ -176,11 +186,13 @@ def ctx128():
 # The desk grid and three whose widths are divisible by 3 in x, y or both,
 # where the dealias band edge (n - 1) // 3 lies one below n // 3: one
 # wavenumber wider and the products of band modes alias back into the band.
-@pytest.fixture(scope="module", params=[(32, 32, 17), (48, 16, 9), (16, 48, 9), (48, 48, 9)],
-                ids=lambda shape: "x".join(map(str, shape)))
+# The last has the depth-varying N(z).
+@pytest.fixture(scope="module",
+                params=[(32, 32, 17), (48, 16, 9), (16, 48, 9), (48, 48, 9), (32, 32, 9, VARYING_N)],
+                ids=lambda p: "x".join(map(str, p[:3])) + ("-varying-N" if len(p) > 3 else ""))
 def band_ctx(request):
-    nx, ny, nz = request.param
-    return _context(nx, nz, ny)
+    nx, ny, nz, *n_of_z = request.param
+    return _context(nx, nz, ny, *n_of_z)
 
 
 def _masked_inverse(lam):
@@ -263,10 +275,10 @@ class TestLevelBlocks:
         counts = {"inverse": 0, "forward": 0}
 
         def counted(kind, fn):
-            def wrapper(grid, f):
+            def wrapper(grid, f, out=None):
                 assert f.shape[0] == grid.nz
                 counts[kind] += 1
-                return fn(grid, f)
+                return fn(grid, f, out=out)
             return wrapper
 
         monkeypatch.setattr(operators, "inverse_transform",

@@ -182,7 +182,7 @@ def _scale_after(grid, f):
 
 
 class TestTransformScaling:
-    """The scaling applied inside pocketfft against the scale-after formulation."""
+    """The transforms' own scaling against the scale-after formulation."""
 
     @pytest.mark.parametrize("n, nz, levels", [(32, 17, 17), (64, 33, 33), (128, 65, 2)])
     def test_power_of_two_grids_bitwise(self, n, nz, levels):
@@ -201,6 +201,31 @@ class TestTransformScaling:
         assert np.max(np.abs(forward_transform(grid, f) - fhat)) <= 4 * ulp * np.max(np.abs(fhat))
         back_err = np.max(np.abs(inverse_transform(grid, fhat) - back))
         assert back_err <= 4 * ulp * np.max(np.abs(back))
+
+
+class TestTransformsInto:
+    """``out=`` gives scipy's 2-D transforms bit for bit, whatever ny is."""
+
+    # (levels, ny, nx): ny a power of two or not, whole fields and level blocks.
+    @pytest.mark.parametrize("shape", [(17, 32, 32), (9, 16, 48), (9, 48, 16), (5, 24, 20),
+                                       (3, 100, 36), (2, 128, 128), (6, 30, 12)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bitwise_scipy(self, shape):
+        levels, ny, nx = shape
+        grid = Grid(nx=nx, ny=ny, nz=max(levels, 5))
+        f = np.random.default_rng(ny * nx).standard_normal(shape)
+        ref = scipy.fft.rfft2(f, axes=(1, 2), norm="forward")
+        back = scipy.fft.irfft2(ref, s=(ny, nx), axes=(1, 2), norm="forward")
+        assert forward_transform(grid, f).tobytes() == ref.tobytes()
+        out = np.empty(ref.shape, dtype=complex)
+        assert forward_transform(grid, f, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+        # Without out the input is left alone; with out it is scratch.
+        assert inverse_transform(grid, out).tobytes() == back.tobytes()
+        assert out.tobytes() == ref.tobytes()
+        phys = np.empty(shape)
+        assert inverse_transform(grid, out, out=phys) is phys
+        assert phys.tobytes() == back.tobytes()
 
 
 # Square and non-square grids: on the latter kmax_x != kmax_y.

@@ -23,10 +23,13 @@ Producers:
 - ``simulate`` on the non-square 48x16x9 grid with 120 noise modes, whose
   first modes reach past the band's |l| <= 5 edge, so a k/l mix-up in the
   band or its discs changes them: ``diagnostics.csv`` and the snapshots;
+- ``simulate`` on the 16x48x9 grid, whose ny = 48 is not a power of two, so
+  an FFT call whose bits depend on the length of the y pass changes it:
+  ``diagnostics.csv`` and the snapshots;
 - ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
-- ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33 and
-  128x128x17 (one pass, one pass, level blocks): its sha256 per grid, since
-  ``validate`` prints only PASS/FAIL;
+- ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33,
+  128x128x17 and 16x48x9 (one pass, one pass, level blocks, ny not a power
+  of two): its sha256 per grid, since ``validate`` prints only PASS/FAIL;
 - ``build_forcing``'s ``support`` (both index arrays) and ``basis`` through
   ``cli.build_runtime(config.parse_config(text))``: their sha256 for the
   defaults at 32x32x17; for 48x16x9 with a 0.5 periodic flux on (k, l) =
@@ -63,6 +66,9 @@ SIMULATE_RUNS = {
     "simulate 48x16x9": ("--set", "grid.nx=48", "--set", "grid.ny=16", "--set", "grid.nz=9",
                          "--set", "init.kind=random", "--set", "noise.n_modes=120",
                          "--set", "time.t1=1", "--set", "time.snapshot_every=8"),
+    "simulate 16x48x9": ("--set", "grid.nx=16", "--set", "grid.ny=48", "--set", "grid.nz=9",
+                         "--set", "init.kind=random", "--set", "time.t1=1",
+                         "--set", "time.snapshot_every=8"),
 }
 # Shown for information, not compared: metric -> (unit, format).
 INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
@@ -90,12 +96,12 @@ import hashlib
 import numpy as np
 from stochqg.operators import build_context, jacobian
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
-for n, nz in ((32, 17), (64, 33), (128, 17)):
+for nx, ny, nz in ((32, 32, 17), (64, 64, 33), (128, 128, 17), (16, 48, 9)):
     vop = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
-    ctx = build_context(Grid(nx=n, ny=n, nz=nz), vop, nu=0.5, beta=1.0)
-    rng = np.random.default_rng(n + nz)
-    a, b = (rng.standard_normal((nz, n, n)) for _ in range(2))
-    print(f"{n}x{n}x{nz}", hashlib.sha256(jacobian(ctx, a, b).tobytes()).hexdigest())
+    ctx = build_context(Grid(nx=nx, ny=ny, nz=nz), vop, nu=0.5, beta=1.0)
+    rng = np.random.default_rng(nx + nz)
+    a, b = (rng.standard_normal((nz, ny, nx)) for _ in range(2))
+    print(f"{nx}x{ny}x{nz}", hashlib.sha256(jacobian(ctx, a, b).tobytes()).hexdigest())
 """
 
 

@@ -216,7 +216,7 @@ def step_arrays(ctx: OperatorContext) -> tuple:
     return new(), new(), jacobian_work(ctx, spec=new())
 
 
-def step(state: SimState, linear_only: bool = False, *, work: tuple | None = None) -> SimState:
+def step(state: SimState | list, linear_only: bool = False, *, work: tuple | None = None) -> SimState:
     """One IMEX step from t = n*dt to (n+1)*dt under the state's run.
 
     Predictor/corrector on the integrating-factor-transformed system:
@@ -226,12 +226,12 @@ def step(state: SimState, linear_only: bool = False, *, work: tuple | None = Non
     convention; the new state's lift takes the gridpoint it ends on.
 
     The intermediates go into ``work`` (``step_arrays``, new by default),
-    which changes no bit of the result; ``state`` is only read.  The step
-    drops its reference to ``state`` after the predictor, so a caller that
-    hands over its only one, as ``simulate`` does, has the old u freed there.
+    which changes no bit of the result; the state is only read.  ``simulate``
+    passes ``state`` as a one-element list holding its only reference, which
+    the step empties, so the old u is freed after the predictor.
     """
-    run, dt, ctx, n = state.run, state.run.dt, state.run.ctx, state.n
-    n1 = n + 1
+    state = state.pop() if isinstance(state, list) else state
+    run, dt, ctx, n, n1 = state.run, state.run.dt, state.run.ctx, state.n, state.n + 1
     psi, n0_modes, jac = step_arrays(ctx) if work is None else work
     modal, efac = jac[0], run.efac
     c0 = state.modes
@@ -316,8 +316,8 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     They are stored as copies in ``SimResult.snapshots`` unless a
     ``snapshot_sink(t, u)`` is given; the sink is handed each snapshot when
     it is taken, must not modify ``u``, and the list then stays empty.
-    Each step gets the only reference to the state it replaces (on CPython
-    3.11+ freed after its predictor) and writes into one ``step_arrays`` set.
+    Each step is handed the only reference to the state it replaces, which
+    it frees after its predictor, and writes into one ``step_arrays`` set.
     Identical (path seed, config) inputs give bitwise-identical output.  The
     noise path must cover the lift of every state up to t1; that is checked
     before the first step.
@@ -342,8 +342,8 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     work = step_arrays(ctx)
     for k in range(n_steps):
         t_prev = state.t
-        held, state = [state], None  # so step holds the only reference
-        state = step(held.pop(), linear_only=linear_only, work=work)
+        held, state = [state], None  # step takes the only reference out of held
+        state = step(held, linear_only=linear_only, work=work)
         if record_diagnostics:
             state.__dict__["norms"] = modal_norms(ctx, state.modes, work[0])  # psi is idle
             start, terms = terms, state.budget_terms

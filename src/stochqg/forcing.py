@@ -222,6 +222,10 @@ def extend_noise_path(path: NoisePath, t_min: float, t_max: float) -> NoisePath:
 
 
 def save_noise_path(path: NoisePath, fname) -> None:
+    """Write the increments under a header; a shifted path's t_min would move the OU anchor."""
+    if path.local_shift:
+        raise ValueError(f"cannot save a shifted noise path (local_shift={path.local_shift}); "
+                         "save the unshifted path")
     header = _HEADER.pack(_MAGIC, _FILE_VERSION, path.seed, path.n_modes,
                           path.dt_noise, path.t_min, path.t_max)
     with open(fname, "wb") as fh:

@@ -390,7 +390,7 @@ def reconstruct_streamfunction(ctx: OperatorContext, u: np.ndarray, lift):
     psi_hat = apply_G(ctx, u) + lift
     psi = inverse_transform(ctx.grid, psi_hat)
     uphys = inverse_transform(ctx.grid, u)
-    pv = uphys + ctx.f0 + ctx.beta * ctx.grid.y[None, :, None]
+    pv = uphys + ctx.vop.profile.f0 + ctx.beta * ctx.grid.y[None, :, None]
     return psi_hat, psi, pv
 
 

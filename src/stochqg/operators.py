@@ -72,15 +72,12 @@ class OperatorContext:
     vop: VerticalOperator
     nu: float
     beta: float
-    f0: float
     lambda1: float
-    kh2: np.ndarray        # (ny, nkx)
     lam: np.ndarray        # (nz, ny, nkx)
     inv_lam: np.ndarray    # (nz, ny, nkx), zero at the null slot
     colw: np.ndarray       # (nkx,) rfft column multiplicities
     zw: np.ndarray         # (nz,) trapezoid weights
     phi_inv: np.ndarray    # (nz, nz) yhat^T W^(1/2), the inverse of vop.phi
-    action: np.ndarray     # (nz, nz) dense vertical operator on levels
     mask: np.ndarray       # (ny, nkx) dealias mask
     dx_mult: np.ndarray    # (1, 1, nkx) i*kx, Nyquist zeroed
     dxm_mult: np.ndarray   # (1, ny, nkx) dealiased i*kx
@@ -113,8 +110,7 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
 
     kx = grid.kx
     ky = grid.ky
-    kh2 = grid.kh2
-    lam = vop.mu[:, None, None] + kh2[None, :, :]
+    lam = vop.mu[:, None, None] + grid.kh2[None, :, :]
     with np.errstate(divide="ignore"):
         inv_lam = 1.0 / lam
     inv_lam[lam == 0.0] = 0.0
@@ -127,12 +123,11 @@ def build_context(grid: Grid, vop: VerticalOperator, nu: float, beta: float) -> 
 
     return OperatorContext(
         grid=grid, vop=vop, nu=float(nu), beta=float(beta),
-        f0=float(vop.profile.f0),
         lambda1=compute_lambda1(vop),
-        kh2=kh2, lam=lam, inv_lam=inv_lam,
+        lam=lam, inv_lam=inv_lam,
         colw=grid.column_weight, zw=grid.zweights,
         phi_inv=np.ascontiguousarray(vop.yhat.T * vop.sqrtw[None, :]),
-        action=vop.action, mask=mask,
+        mask=mask,
         dx_mult=dx[None, None, :],
         dxm_mult=(dx[None, :] * mask)[None, :, :],
         dym_mult=(dy[:, None] * mask)[None, :, :],
@@ -167,11 +162,9 @@ def _require_mean_zero(ctx, u, what):
 
 def apply_A(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """A u: (k^2 + l^2) u plus the vertical operator on each profile."""
-    if not np.any(u):
-        return np.zeros_like(u)
     _require_mean_zero(ctx, u, "apply_A input")
-    vert = (ctx.action @ u.reshape(ctx.grid.nz, -1)).reshape(u.shape)
-    return ctx.kh2[None, :, :] * u + vert
+    vert = (ctx.vop.action @ u.reshape(ctx.grid.nz, -1)).reshape(u.shape)
+    return ctx.grid.kh2[None, :, :] * u + vert
 
 
 def apply_G(ctx: OperatorContext, f: np.ndarray) -> np.ndarray:
@@ -180,8 +173,6 @@ def apply_G(ctx: OperatorContext, f: np.ndarray) -> np.ndarray:
     Diagonal in the separable basis; the null slot is projected out, so
     A(-G(f)) = f up to rounding.
     """
-    if not np.any(f):
-        return np.zeros_like(f)
     _require_mean_zero(ctx, f, "apply_G input")
     c = to_modes(ctx, f)
     c *= -ctx.inv_lam
@@ -235,11 +226,8 @@ def jacobian(ctx: OperatorContext, a, b) -> np.ndarray:
     each level alone, so the work runs over ``ctx.blocks``; every level sees
     the same operations whatever the blocks.
     """
-    grid = ctx.grid
     a = _as_spectral(ctx, a)
     b = _as_spectral(ctx, b)
-    if not (np.any(a) and np.any(b)):
-        return np.zeros((grid.nz, grid.ny, grid.nkx), dtype=complex)
     jhat, work = np.empty(a.shape, dtype=complex), jacobian_work(ctx)
     for blk in ctx.blocks:  # each block's b_x goes where its J will
         jhat[blk], _ = _block_product(ctx, a[blk], b[blk], False, work, jhat[blk])
@@ -300,8 +288,6 @@ def _as_spectral(ctx, f):
 
 def apply_B(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """B(u, u) = J(G(u), u)."""
-    if not np.any(u):
-        return np.zeros_like(u)
     return jacobian(ctx, apply_G(ctx, u), u)
 
 
@@ -311,10 +297,8 @@ def apply_C(ctx: OperatorContext, lift, u: np.ndarray) -> np.ndarray:
 
 
 def apply_D(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
-    """D(u) = beta * G(u)_x."""
-    if ctx.beta == 0.0 or not np.any(u):
-        return np.zeros_like(u)
-    return deriv_x(ctx, apply_G(ctx, u))
+    """D(u) = beta * G(u)_x, the planetary drift."""
+    return ctx.beta * deriv_x(ctx, apply_G(ctx, u))
 
 
 def forcing_f(ctx: OperatorContext, lift) -> np.ndarray:
@@ -323,8 +307,6 @@ def forcing_f(ctx: OperatorContext, lift) -> np.ndarray:
     The x-derivative annihilates the kx = 0 column, so the result is
     mean-zero by construction.
     """
-    if ctx.beta == 0.0 or not np.any(lift):
-        return np.zeros_like(lift)
     return -ctx.beta * deriv_x(ctx, lift)
 
 
@@ -389,8 +371,7 @@ def lift_terms(ctx: OperatorContext, support, lift: np.ndarray,
     """
     li, ki = support
     keep = np.any(lift != 0.0, axis=0)
-    if not keep.all():
-        li, ki, lift = li[keep], ki[keep], lift[:, keep]
+    li, ki, lift = li[keep], ki[keep], lift[:, keep]
     lift_x = np.ascontiguousarray(lift) * ctx.dx_mult[0, 0, ki]
     p = _power(_vertical(ctx.phi_inv, lift_x), ctx.colw[ki])
     vd2 = ctx.hfac * float(np.einsum("mc,mc->", p, ctx.inv_lam[:, li, ki]))
@@ -403,8 +384,6 @@ def lift_terms(ctx: OperatorContext, support, lift: np.ndarray,
 
 def h2_scale(ctx: OperatorContext, u: np.ndarray) -> float:
     """Discrete H^2-equivalent magnitude ||A u||_H + ||u||_H."""
-    if not np.any(u):
-        return 0.0
     return norm_h(ctx, apply_A(ctx, u)) + norm_h(ctx, u)
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as _fft
 from scipy.linalg import eigh_tridiagonal
 
 TWO_PI = 2.0 * np.pi
@@ -311,15 +310,15 @@ def forward_transform(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) 
     ``levels`` is nz for a whole field or any smaller count for a block of
     levels; each level is transformed on its own, so a block's result is
     bitwise the same levels of the whole-field result.  numpy's x pass writes
-    into ``out`` and scipy's y pass works in place there: the pair gives scipy
-    ``rfft2``'s bits on every shape, numpy's ``rfftn`` not when ny is no power of 2.
+    into ``out``, one scaling pass follows, and numpy's y pass works in place
+    there: the three give scipy ``rfft2``'s bits on every shape, numpy's
+    ``rfftn`` not when ny is no power of 2.
     """
     f = np.asarray(f)
     _check_levels(grid, f.shape, (grid.ny, grid.nx), "field")
     out = np.fft.rfft(f, axis=2, out=out)
     out *= 1.0 / (grid.nx * grid.ny)
-    _fft.fft(out, axis=1, overwrite_x=True)  # in place on a complex128 array
-    return out
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def inverse_transform(grid: Grid, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

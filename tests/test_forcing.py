@@ -110,6 +110,20 @@ class TestNoisePath:
         save_noise_path(q, fname2)
         assert fname.read_bytes() == fname2.read_bytes()
 
+    def test_shifted_path_not_saved(self, grid, tmp_path):
+        # The header's t_min anchors the stationary OU draw on load, so a
+        # shifted path would come back with other OU states.
+        model = small_model(grid, tau_c=0.5)
+        p = make_noise_path(5, model.n_modes, H, -4.0, 4.0)
+        fname = tmp_path / "noise.bin"
+        with pytest.raises(ValueError, match="save the unshifted path"):
+            save_noise_path(shift_path(p, 1.0), fname)
+        assert not fname.exists()
+        save_noise_path(p, fname)
+        q = load_noise_path(fname)
+        for t in (-4.0, 0.0, 1.0, 4.0):
+            assert np.array_equal(init_ou_state(model, q, t).zeta, init_ou_state(model, p, t).zeta)
+
     def test_bad_magic(self, tmp_path):
         fname = tmp_path / "junk.bin"
         fname.write_bytes(b"\x00" * 64)

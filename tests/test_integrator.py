@@ -732,7 +732,7 @@ class TestReconstruction:
         z = np.zeros_like(u)
         _, _, pv = reconstruct_streamfunction(ctx, u, z)
         uphys = inverse_transform(grid, u)
-        expect = uphys + ctx.f0 + ctx.beta * grid.y[None, :, None]
+        expect = uphys + ctx.vop.profile.f0 + ctx.beta * grid.y[None, :, None]
         assert np.max(np.abs(pv - expect)) < 1e-12
 
 

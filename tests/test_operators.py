@@ -1,6 +1,7 @@
 """Operator algebra: A, G, J, B, C, D, f, the tendency, and the three norms."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,20 +298,23 @@ class TestTendency:
     @pytest.mark.parametrize("linear_only", [False, True])
     @pytest.mark.parametrize("size", ["single", "blocked"])
     def test_matches_paper_operators(self, ctx, ctx128, size, linear_only):
-        c = ctx128 if size == "blocked" else ctx
-        grid = c.grid
+        base = ctx128 if size == "blocked" else ctx
+        grid = base.grid
         rng = np.random.default_rng(20)
-        u = 10.0 * random_field(c, rng)
+        u = 10.0 * random_field(base, rng)
         coef = sum(w * dense_coef(mode_flux(grid, mode))
                    for w, mode in zip(rng.standard_normal(6), boundary_modes(grid, 6)))
-        lift = 0.5 * solve_lift(grid, c.vop, BoundaryFlux.from_dense(coef))
-        n, limit = tendency(c, u, apply_G(c, u) + lift, linear_only)
-        ref = forcing_f(c, lift) - apply_D(c, u)
-        if not linear_only:
-            ref -= apply_B(c, u) + apply_C(c, lift, u)
-        remove_mean(ref, c.zw)
-        assert limit == np.inf
-        assert norm_h(c, n - ref) <= 1e-13 * norm_h(c, ref), norm_h(c, n - ref) / norm_h(c, ref)
+        lift = 0.5 * solve_lift(grid, base.vop, BoundaryFlux.from_dense(coef))
+        for beta in (1.0, 2.5):  # beta scales f and D, not B and C
+            c = replace(base, beta=beta)
+            n, limit = tendency(c, u, apply_G(c, u) + lift, linear_only)
+            ref = forcing_f(c, lift) - apply_D(c, u)
+            if not linear_only:
+                ref -= apply_B(c, u) + apply_C(c, lift, u)
+            remove_mean(ref, c.zw)
+            assert limit == np.inf
+            err = norm_h(c, n - ref)
+            assert err <= 1e-13 * norm_h(c, ref), (beta, err / norm_h(c, ref))
 
     def test_cfl_limit_from_the_velocity(self, band_ctx):
         # Half the grid spacing over the largest advecting speed per axis,
@@ -393,13 +397,19 @@ class TestApplyD:
         m, l, k = 1, 2, 3
         u = unit_eigenmode(ctx, m, l, k)
         lam = eigenvalue_of(ctx, m, l, k)
-        d = apply_D(ctx, u)
-        expect = -ctx.beta * (1j * k) / lam * u
-        # u holds only the +k column here, so the multiplier applies directly.
-        assert np.max(np.abs(d - expect)) < 1e-12
+        for beta in (1.0, 2.5):
+            d = apply_D(replace(ctx, beta=beta), u)
+            expect = -beta * (1j * k) / lam * u
+            # u holds only the +k column here, so the multiplier applies directly.
+            assert np.max(np.abs(d - expect)) < 1e-12, beta
 
 
 class TestForcingF:
+    def test_beta_zero(self, grid, vop):
+        ctx0 = build_context(grid, vop, nu=0.5, beta=0.0)
+        lift = random_field(ctx0, np.random.default_rng(19))
+        assert np.all(forcing_f(ctx0, lift) == 0.0)
+
     def test_z_only_lift(self, ctx):
         lift = np.zeros((ctx.grid.nz, ctx.grid.ny, ctx.grid.nkx), dtype=complex)
         lift[:, 0, 0] = np.cos(ctx.grid.z)  # x-independent

@@ -30,6 +30,11 @@ Producers:
 - ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33,
   128x128x17 and 16x48x9 (one pass, one pass, level blocks, ny not a power
   of two): its sha256 per grid, since ``validate`` prints only PASS/FAIL;
+- ``transforms``: ``forward_transform`` of seeded real 3-level fields and
+  ``inverse_transform`` of seeded complex ones on ``Grid(nx, ny, 5)``, for
+  ny = 8, 10, ..., 128 and nx in {8, 16, 24, 48, 64, 96, 128} (427 shapes,
+  most with ny no power of two): one sha256 per nx and direction, over the
+  outputs of every ny in order;
 - ``build_forcing``'s ``support`` (both index arrays) and ``basis`` through
   ``cli.build_runtime(config.parse_config(text))``: their sha256 for the
   defaults at 32x32x17; for 48x16x9 with a 0.5 periodic flux on (k, l) =
@@ -102,6 +107,22 @@ for nx, ny, nz in ((32, 32, 17), (64, 64, 33), (128, 128, 17), (16, 48, 9)):
     rng = np.random.default_rng(nx + nz)
     a, b = (rng.standard_normal((nz, ny, nx)) for _ in range(2))
     print(f"{nx}x{ny}x{nz}", hashlib.sha256(jacobian(ctx, a, b).tobytes()).hexdigest())
+"""
+# Prints "<nx> <forward sha256> <inverse sha256>" per nx, through API every tree has.
+TRANSFORMS = """
+import hashlib
+import numpy as np
+from stochqg.spectral import Grid, forward_transform, inverse_transform
+for nx in (8, 16, 24, 48, 64, 96, 128):
+    fwd, inv = hashlib.sha256(), hashlib.sha256()
+    for ny in range(8, 129, 2):
+        grid = Grid(nx=nx, ny=ny, nz=5)
+        rng = np.random.default_rng(1000 * nx + ny)
+        f = rng.standard_normal((3, ny, nx))
+        fhat = rng.standard_normal((3, ny, grid.nkx)) + 1j * rng.standard_normal((3, ny, grid.nkx))
+        fwd.update(forward_transform(grid, f).tobytes())
+        inv.update(inverse_transform(grid, fhat).tobytes())
+    print(nx, fwd.hexdigest(), inv.hexdigest())
 """
 
 
@@ -186,6 +207,12 @@ class Tree:
             out[f"jacobian {grid}"] = digest
         if code:
             out["jacobian"] = f"failed (exit {code})"
+
+        code, stdout = self.run([py, "-c", TRANSFORMS], self.scratch)
+        for nx, fwd, inv in (line.split() for line in stdout.splitlines()):
+            out[f"transforms nx={nx} forward"], out[f"transforms nx={nx} inverse"] = fwd, inv
+        if code:
+            out["transforms"] = f"failed (exit {code})"
 
         code, stdout = self.run([py, "-c", FORCING], self.scratch)
         digests = json.loads(stdout) if code == 0 else {}

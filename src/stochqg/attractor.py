@@ -269,9 +269,9 @@ def cocycle_check(ctx: OperatorContext, forcing: ForcingSetup, s: float, t: floa
             return u
         return simulate(ctx, setup, u, a, b, dt, record_diagnostics=False).final.u
 
+    shifted = replace(forcing, path=shift_path(forcing.path, s))  # rejects s off the noise grid
     full = run(forcing, x, 0.0, s + t)
-    mid = run(forcing, x, 0.0, s)
-    second = run(replace(forcing, path=shift_path(forcing.path, s)), mid, 0.0, t)
+    second = run(shifted, run(forcing, x, 0.0, s), 0.0, t)
     return norm_h(ctx, full - second)
 
 

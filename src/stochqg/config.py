@@ -17,7 +17,7 @@ import numpy as np
 
 from .attractor import PullbackConfig, quad_steps
 from .forcing import (PeriodicFlux, grid_steps, make_noise_model,
-                      make_noise_path, steps_per_noise)
+                      make_noise_path, shift_path, steps_per_noise)
 from .lift import BoundaryMode, mode_flux
 from .spectral import Grid, build_vertical_operator, compute_lambda1, make_profile
 
@@ -152,7 +152,7 @@ def validate_config(cfg: SimConfig) -> list[str]:
     """
     errs = []
     if cfg.nu <= 0:
-        errs.append("viscosity must be positive")
+        errs.append("physics.nu: viscosity must be positive")
     if cfg.beta < 0:
         errs.append("physics.beta must be nonnegative")
     if cfg.t0 >= cfg.t1:
@@ -170,8 +170,10 @@ def validate_config(cfg: SimConfig) -> list[str]:
     if cfg.init_kind not in ("zero", "eigenmode", "random"):
         errs.append("init.kind must be zero|eigenmode|random")
     dt_ok = _by_key(errs, "time.dt, noise.dt_noise", steps_per_noise, cfg.dt, cfg.dt_noise)
-    _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", make_noise_path, cfg.seed,
-            cfg.n_modes, cfg.dt_noise, cfg.noise_t_min, cfg.noise_t_max)
+    path = _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", make_noise_path,
+                   cfg.seed, cfg.n_modes, cfg.dt_noise, cfg.noise_t_min, cfg.noise_t_max)
+    if path is not None:
+        _by_key(errs, "cocycle.s, noise.dt_noise", shift_path, path, cfg.cocycle_s)
     pullback = _by_key(errs, "pullback.horizons, pullback.ensemble, pullback.sampling_rule, "
                        "pullback.leading_modes", pullback_config, cfg)
     n_of_z = _by_key(errs, "physics.N", n_table, cfg)

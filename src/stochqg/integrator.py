@@ -26,8 +26,8 @@ bounds ||u||_H^2 along every run and its pullback limit xi* builds the
 absorbing ball.
 
 Each state computes the values that its own step and the run's diagnostics
-both need (vertical-mode coefficients, lift, xi source, norms, energy-budget
-terms) on first use and keeps them.  The lift lives on the columns of
+both need (vertical-mode coefficients, lift, xi source, ||u||_H^2) on first
+use and keeps them.  The lift lives on the columns of
 ``ForcingSetup.support``, and the step adds it to psi there.
 """
 
@@ -43,7 +43,6 @@ from . import __version__
 from .forcing import (ForcingSetup, check_byte_count, grid_steps, lift_columns, ou_series,
                       steps_per_noise)
 from .operators import (
-    Norms,
     OperatorContext,
     apply_G,
     from_modes,
@@ -131,10 +130,10 @@ class SimState:
     """Flow state: potential vorticity u at step n (t = n * run.dt), xi, and its run.
 
     It computes the values its step and the run's diagnostics share on first
-    use and keeps them: ``modes``, ``lift``, ``vdual_liftx`` (the xi source),
-    ``h2``, ``norms`` and ``budget_terms``.  ``dataclasses.replace`` makes a
-    state that computes them afresh, also under another run or xi.  ``u`` is
-    a value: modify a copy, not the array in place.
+    use and keeps them: ``modes``, ``lift``, ``vdual_liftx`` (the xi source)
+    and ``h2``.  ``dataclasses.replace`` makes a state that computes them
+    afresh, also under another run or xi.  ``u`` is a value: modify a copy,
+    not the array in place.
     """
 
     u: np.ndarray
@@ -164,16 +163,6 @@ class SimState:
     def h2(self) -> float:
         """||u||_H^2 = inner_h(u, u)."""
         return inner_h(self.run.ctx, self.u, self.u)
-
-    @functools.cached_property
-    def norms(self) -> Norms:
-        return modal_norms(self.run.ctx, self.modes)
-
-    @functools.cached_property
-    def budget_terms(self) -> tuple[float, float, float]:
-        """(||u||_H^2, ||u||_V, <lift_x, u>): this state's energy-budget terms."""
-        flux = lift_terms(self.run.ctx, self.run.forcing.support, self.lift, self.u)[1]
-        return self.h2, self.norms.v, flux
 
 
 @dataclass(frozen=True)
@@ -337,18 +326,23 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
 
     snapshot_sink(state.t, state.u)
     diagnostics = []
-    # Each state's budget terms serve the steps on either side of it.
-    terms = state.budget_terms if record_diagnostics else None
     work = step_arrays(ctx)
+
+    def measure(st):
+        """The state's norms and its (||u||_H^2, ||u||_V, <lift_x, u>) budget terms."""
+        nrm = modal_norms(ctx, st.modes, work[0])  # psi is idle between steps
+        return nrm, (st.h2, nrm.v, lift_terms(ctx, forcing.support, st.lift, st.u)[1])
+
+    # Each state's budget terms serve the steps on either side of it.
+    terms = measure(state)[1] if record_diagnostics else None
     for k in range(n_steps):
         t_prev = state.t
         held, state = [state], None  # step takes the only reference out of held
         state = step(held, linear_only=linear_only, work=work)
         if record_diagnostics:
-            state.__dict__["norms"] = modal_norms(ctx, state.modes, work[0])  # psi is idle
-            start, terms = terms, state.budget_terms
+            start, (nrm, terms) = terms, measure(state)
             diagnostics.append(DiagnosticsRecord(
-                t=state.t, h=state.norms.h, v=state.norms.v, vdual_liftx=state.vdual_liftx,
+                t=state.t, h=nrm.h, v=nrm.v, vdual_liftx=state.vdual_liftx,
                 xi=state.xi, residual=_budget_residual(ctx, state.t - t_prev, start, terms),
                 dt=dt))
         if snapshot_every and (k + 1) % snapshot_every == 0 and k + 1 < n_steps:

@@ -44,19 +44,14 @@ from .spectral import (
 
 MEAN_ZERO_TOL = 1e-8
 
-# Level blocking of the Jacobian.  A physical field of at most
-# SINGLE_PASS_BYTES is multiplied in one whole-field pass; a larger one in
-# blocks of at most BLOCK_BYTES of physical field (2 levels at 128x128), so a
-# block's transforms and products stay in a core's 2 MiB L2.  Median step
-# times, 1 BLAS thread, 2-vCPU host with 2 MiB L2 per core: at 128x128x65
-# (8.5 MB per field) 301-305 ms whole-field, 254-260 ms with 2-level blocks,
-# 262 ms with 1-level and 249-256 ms with 4-level blocks; at 64x64x33
-# (1.1 MB) 31.7 ms whole-field against 30.2 and 31.1 ms with 4- and 8-level
-# blocks, within the run-to-run spread, so fields up to 2 MiB keep one pass.
-# Forcing 8-level blocks at 64x64x33 cut a 2-step simulate's traced peak from
-# 9.41 to 6.69 fields (peak RSS 80.7 -> 76.5 MB) but ran slower, 1.322 ->
-# 1.408 s median over 20 pairs, so the one pass stays.
-SINGLE_PASS_BYTES = 2 << 20
+# Level blocking of the Jacobian: consecutive blocks of at most BLOCK_BYTES of
+# physical field, at least one level each, so a block's transforms and
+# products stay in a core's 2 MiB L2 and its work arrays stay small.  Median
+# step times, 1 BLAS thread, 2-vCPU host with 2 MiB L2 per core: at 128x128x65
+# (8.5 MB per field) 301-305 ms whole-field, 254-260 ms with 2-level blocks.
+# At 64x64x33 (1.1 MB per field, 8-level blocks) 10 alternating pairs of the
+# sim64_diag benchmark: median wall 0.818 s whole-field, 0.776 s blocked
+# (quartile spread 0.06 s); peak RSS 72.3 -> 70.8 MB.
 BLOCK_BYTES = 256 << 10
 
 
@@ -87,15 +82,11 @@ class OperatorContext:
 
 
 def level_blocks(grid: Grid) -> tuple[slice, ...]:
-    """Level slices the Jacobian works through, from the physical field size.
-
-    One slice of all levels when a physical field fits in SINGLE_PASS_BYTES,
-    otherwise consecutive slices of at most BLOCK_BYTES each (at least one
-    level), the last one possibly shorter.
+    """Level slices the Jacobian works through: consecutive slices of at most
+    BLOCK_BYTES of physical field each (at least one level), the last one
+    possibly shorter.
     """
     level_bytes = grid.ny * grid.nx * np.dtype(np.float64).itemsize
-    if grid.nz * level_bytes <= SINGLE_PASS_BYTES:
-        return (slice(0, grid.nz),)
     per = max(1, BLOCK_BYTES // level_bytes)
     return tuple(slice(lo, min(lo + per, grid.nz)) for lo in range(0, grid.nz, per))
 

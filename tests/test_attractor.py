@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stochqg import attractor
 from stochqg.attractor import (
     PullbackConfig,
     absorbing_ball,
@@ -356,6 +357,23 @@ class TestCocycle:
         x = np.zeros((grid.nz, grid.ny, grid.nkx), complex)
         with pytest.raises(ValueError):
             cocycle_check(ctx, setup, 0.3, 1.0, x, DT)
+
+    def test_shift_off_noise_grid_rejected_before_any_leg(self, grid, vop, monkeypatch):
+        # s = DT/2 lies on the step grid of dt = DT/2 but between noise gridpoints.
+        ctx = dyn_ctx(grid, vop)
+        setup = dyn_forcing(grid, vop)
+        x = 0.1 * unit_eigenmode(ctx, 1, 1, 1)
+        legs = []
+
+        def counted(*args, **kwargs):
+            legs.append(args[3:5])
+            return run_leg(*args, **kwargs)
+
+        run_leg = attractor.simulate
+        monkeypatch.setattr(attractor, "simulate", counted)
+        with pytest.raises(ValueError, match="shift s: 0.0625 is not a multiple of the grid step"):
+            cocycle_check(ctx, setup, DT / 2, 1.0, x, DT / 2)
+        assert legs == []
 
 
 class TestPullback:

@@ -27,7 +27,9 @@ def test_traced_name_resolves(module, function):
 def test_traced_bench_run_smoke():
     # A short traced sim64_diag run.  It must still see every stepper layer
     # through the traced names, and each step's report must keep the
-    # per-step transform, lift and norm counts at their shared minimum.
+    # per-step transform, lift and norm counts at their shared minimum.  The
+    # Jacobian transforms each of its 5 level blocks on its own, and blocking
+    # adds no transform work: the FFT volume is that of whole-field passes.
     root = LAYERS.parent.parent
     out = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", "sim64_diag",
@@ -40,8 +42,9 @@ def test_traced_bench_run_smoke():
     per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in per_layer if m["name"] not in metrics] == []
     assert metrics["integrator.step.calls"] == 64
-    assert metrics["spectral.inverse_transform.calls"] == 8 * 64
-    assert metrics["spectral.forward_transform.calls"] == 2 * 64
+    assert metrics["spectral.inverse_transform.calls"] == 8 * 64 * 5
+    assert metrics["spectral.forward_transform.calls"] == 2 * 64 * 5
+    assert metrics["spectral.fft_mb_computed"] == pytest.approx(1405.7472, rel=1e-9)
     assert metrics["operators.to_modes.calls"] <= 4 * 64 + 4
     assert metrics["forcing.setup_lift.calls"] == 0  # no dense lift is built inside a step
     assert metrics["operators.inner_h.calls"] <= 2 * 64 + 2

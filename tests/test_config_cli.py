@@ -89,7 +89,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("physics.nu = 0\ninit.modes = 0\npullback.leading_modes = -1\n")
         assert err.value.violations == [
-            "viscosity must be positive",
+            "physics.nu: viscosity must be positive",
             "pullback.horizons, pullback.ensemble, pullback.sampling_rule, "
             "pullback.leading_modes: leading_modes must be at least 1",
             "init.modes: mode count 0 outside [1, 7496] (the resolvable modes)"]
@@ -345,6 +345,21 @@ class TestCLI:
         assert record["error"] == "config"
         assert message in record["message"]
         assert parse_config("cocycle.s = 0\ncocycle.t = 0\n").cocycle_s == 0.0
+
+    def test_cocycle_shift_off_noise_grid_exit_one_before_stepping(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # s = 0.03125 lies on the step grid of dt = 0.03125, not on the noise grid.
+        steps = []
+        step = integrator.step
+        monkeypatch.setattr(integrator, "step", lambda *a, **k: steps.append(1) or step(*a, **k))
+        rc = main(["cocycle-check", "--set", f"output.dir={tmp_path}", "--set", "time.dt=0.03125",
+                   "--set", "cocycle.s=0.03125", "--set", "cocycle.t=12"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err and steps == []
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert "cocycle.s, noise.dt_noise: shift s: 0.03125 is not a multiple of the grid " \
+               "step 0.0625" in record["message"]
 
     @pytest.mark.parametrize("command, setting, t1", [("simulate", "time.t1=100", 100.0),
                                                       ("cocycle-check", "cocycle.t=100", 101.0)])

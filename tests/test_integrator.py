@@ -324,8 +324,9 @@ class TestStepReport:
         records = []
         for _ in range(8):
             nxt = step(st, linear_only=linear_only)
+            nn = norms(ctx, nxt.u)
             records.append(DiagnosticsRecord(
-                t=nxt.t, h=nxt.norms.h, v=nxt.norms.v, vdual_liftx=nxt.vdual_liftx, xi=nxt.xi,
+                t=nxt.t, h=nn.h, v=nn.v, vdual_liftx=nxt.vdual_liftx, xi=nxt.xi,
                 residual=energy_budget(ctx, st, nxt, dense(st), dense(nxt)), dt=dt))
             st = nxt
         assert np.array_equal(res.final.u, st.u)
@@ -607,6 +608,20 @@ class TestBlockInvariance:
             res = simulate(blocked, setup, u0, 0.0, 4 * H, H)
             assert np.array_equal(res.final.u, ref.final.u), name
             assert res.diagnostics == ref.diagnostics, name
+
+    def test_default_blocks_match_one_pass_at_64(self):
+        # 64x64x33 runs its Jacobian in blocks of 8, 8, 8, 8 and 1 levels.
+        grid = Grid(64, 64, 33)
+        vop = build_vertical_operator(make_profile(1.0, 1.0, grid.nz), grid.nz)
+        ctx = build_context(grid, vop, nu=0.5, beta=1.0)
+        assert len(ctx.blocks) == 5
+        setup = forcing_for(grid, vop, q0=0.05, amp=0.3, phase=0.2, seed=12)
+        u0 = 0.2 * random_field(ctx, np.random.default_rng(50), decay=2.0)
+        res = simulate(ctx, setup, u0, 0.0, 4 * H, H)
+        one = simulate(dataclasses.replace(ctx, blocks=(slice(0, 33),)), setup, u0, 0.0, 4 * H, H)
+        assert len(res.diagnostics) == 4
+        assert np.array_equal(res.final.u, one.final.u)
+        assert res.diagnostics == one.diagnostics
 
 
 _THREAD_RUN = r"""

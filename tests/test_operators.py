@@ -216,11 +216,17 @@ class TestContext:
 
 
 class TestLevelBlocks:
-    """A field larger than L2 is multiplied a few levels at a time, bit for bit."""
+    """The Jacobian works through blocks of at most BLOCK_BYTES of levels, bit for bit."""
 
     def test_block_rule(self, ctx, ctx128):
         assert ctx.blocks == (slice(0, 17),)
-        assert level_blocks(Grid(nx=64, ny=64, nz=33)) == (slice(0, 33),)
+        assert level_blocks(Grid(nx=48, ny=16, nz=9)) == (slice(0, 9),)
+        assert level_blocks(Grid(nx=16, ny=48, nz=9)) == (slice(0, 9),)
+        # 64x64 levels are 32 KiB each: 8 per block, then a 1-level tail.
+        assert level_blocks(Grid(nx=64, ny=64, nz=33)) == tuple(
+            slice(lo, min(lo + 8, 33)) for lo in range(0, 33, 8))
+        assert level_blocks(Grid(nx=64, ny=64, nz=17)) == (slice(0, 8), slice(8, 16),
+                                                            slice(16, 17))
         # 128x128 levels are 128 KiB each: 2 per block, then a 1-level tail.
         assert ctx128.blocks == tuple(slice(lo, min(lo + 2, 17)) for lo in range(0, 17, 2))
         assert len(level_blocks(Grid(nx=128, ny=128, nz=65))) == 33
@@ -269,16 +275,14 @@ class TestLevelBlocks:
             assert peak < 2 * a.nbytes, peak / a.nbytes
 
     def test_single_pass_transform_counts(self, monkeypatch):
-        c = _context(64, 33)
-        rng = np.random.default_rng(19)
-        a = random_field(c, rng)
-        b = random_field(c, rng)
-        counts = {"inverse": 0, "forward": 0}
+        # One pass of transforms per level block, each over that block's levels:
+        # 4 inverse and 1 forward per Jacobian, on one block at 32x32x17 and on
+        # each of the 5 blocks at 64x64x33.
+        calls = {"inverse": [], "forward": []}
 
         def counted(kind, fn):
             def wrapper(grid, f, out=None):
-                assert f.shape[0] == grid.nz
-                counts[kind] += 1
+                calls[kind].append(f.shape[0])
                 return fn(grid, f, out=out)
             return wrapper
 
@@ -286,10 +290,20 @@ class TestLevelBlocks:
                             counted("inverse", operators.inverse_transform))
         monkeypatch.setattr(operators, "forward_transform",
                             counted("forward", operators.forward_transform))
-        jacobian(c, a, b)
-        assert counts == {"inverse": 4, "forward": 1}
-        tendency(c, b, a.copy(), False, cfl=True)
-        assert counts == {"inverse": 8, "forward": 2}
+        for nx, nz, n_blocks in ((32, 17, 1), (64, 33, 5)):
+            c = _context(nx, nz)
+            rng = np.random.default_rng(19)
+            a = random_field(c, rng)
+            b = random_field(c, rng)
+            levels = [blk.stop - blk.start for blk in c.blocks]
+            assert len(levels) == n_blocks
+            one_pass = {"inverse": [n for n in levels for _ in range(4)], "forward": levels}
+            for sizes in calls.values():
+                sizes.clear()
+            jacobian(c, a, b)
+            assert calls == one_pass
+            tendency(c, b, a.copy(), False, cfl=True)
+            assert calls == {kind: 2 * sizes for kind, sizes in one_pass.items()}
 
 
 class TestTendency:

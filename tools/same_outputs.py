@@ -27,9 +27,11 @@ Producers:
   an FFT call whose bits depend on the length of the y pass changes it:
   ``diagnostics.csv`` and the snapshots;
 - ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
-- ``jacobian`` of seeded physical fields at 32x32x17, 64x64x33,
-  128x128x17 and 16x48x9 (one pass, one pass, level blocks, ny not a power
-  of two): its sha256 per grid, since ``validate`` prints only PASS/FAIL;
+- ``jacobian`` of seeded physical fields at 32x32x17 (one level block),
+  64x64x33 (blocks of 8 levels and a 1-level tail), 64x64x17 (8, 8 and 1
+  levels), 128x128x17 (2-level blocks) and 16x48x9 (one block, ny not a
+  power of two): its sha256 per grid, since ``validate`` prints only
+  PASS/FAIL;
 - ``transforms``: ``forward_transform`` of seeded real 3-level fields and
   ``inverse_transform`` of seeded complex ones on ``Grid(nx, ny, 5)``, for
   ny = 8, 10, ..., 128 and nx in {8, 16, 24, 48, 64, 96, 128} (427 shapes,
@@ -101,7 +103,7 @@ import hashlib
 import numpy as np
 from stochqg.operators import build_context, jacobian
 from stochqg.spectral import Grid, build_vertical_operator, make_profile
-for nx, ny, nz in ((32, 32, 17), (64, 64, 33), (128, 128, 17), (16, 48, 9)):
+for nx, ny, nz in ((32, 32, 17), (64, 64, 33), (64, 64, 17), (128, 128, 17), (16, 48, 9)):
     vop = build_vertical_operator(make_profile(1.0, 1.0, nz), nz)
     ctx = build_context(Grid(nx=nx, ny=ny, nz=nz), vop, nu=0.5, beta=1.0)
     rng = np.random.default_rng(nx + nz)

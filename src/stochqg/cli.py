@@ -10,11 +10,12 @@ numerical abort; failures emit a JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .config import (
     parse_config,
     periodic_flux,
     pullback_config,
+    seeded_path,
 )
 from .forcing import (
     ForcingSetup,
@@ -45,20 +47,18 @@ from .forcing import (
     grid_steps,
     load_noise_path,
     make_noise_model,
-    make_noise_path,
     save_noise_path,
 )
 from .integrator import (
     BlowupError,
     CFLViolation,
-    Run,
     save_snapshot,
     simulate,
     write_diagnostics_csv,
 )
 from .operators import build_context, unit_eigenmode
 from .selfcheck import run_battery
-from .spectral import Grid, build_vertical_operator, make_profile
+from .spectral import Grid, build_vertical_operator, compute_lambda1, make_profile
 
 
 @dataclass
@@ -70,12 +70,14 @@ class Runtime:
     chash: str
 
 
-def _check_noise_file(path: NoisePath, cfg: SimConfig) -> None:
-    """Raise ConfigError unless a loaded noise path has the config's modes and dt_noise."""
+def _load_noise_file(fname, cfg: SimConfig) -> NoisePath:
+    """The path in ``fname``; raises ConfigError unless it has the config's modes and dt_noise."""
+    path = load_noise_path(fname)
     if path.n_modes != cfg.n_modes:
         raise ConfigError([f"noise file has {path.n_modes} modes, config wants {cfg.n_modes}"])
     if abs(path.dt_noise - cfg.dt_noise) > 1e-12:
         raise ConfigError([f"noise file dt_noise={path.dt_noise} != config {cfg.dt_noise}"])
+    return path
 
 
 def build_runtime(cfg: SimConfig) -> Runtime:
@@ -83,15 +85,25 @@ def build_runtime(cfg: SimConfig) -> Runtime:
     vop = build_vertical_operator(make_profile(cfg.f0, n_table(cfg), cfg.nz), cfg.nz)
     ctx = build_context(grid, vop, nu=cfg.nu, beta=cfg.beta)
 
-    if cfg.noise_file:
-        path = load_noise_path(cfg.noise_file)
-        _check_noise_file(path, cfg)
-    else:
-        path = make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise,
-                               cfg.noise_t_min, cfg.noise_t_max)
+    path = _load_noise_file(cfg.noise_file, cfg) if cfg.noise_file else seeded_path(cfg)
     model = make_noise_model(grid, cfg.n_modes, q0=cfg.q0, p=cfg.p, tau_c=cfg.tau_c)
     forcing = build_forcing(grid, vop, model, periodic_flux(cfg, grid), path)
     return Runtime(cfg=cfg, grid=grid, ctx=ctx, forcing=forcing, chash=config_hash(cfg))
+
+
+def check_span(cfg: SimConfig, path: NoisePath, span) -> None:
+    """Raise ConfigError, by key, unless ``path`` covers the steps ``span(cfg)`` names."""
+    (k0, t0), (k1, t1) = span(cfg)
+    _, first, last = path.covered_steps(cfg.dt)
+    try:
+        n0, n1 = grid_steps(t0, cfg.dt, k0), grid_steps(t1, cfg.dt, k1)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
+    if n0 < first:
+        raise ConfigError([f"{k0}: time {t0} outside path range [{path.t_min}, {path.t_max}]"])
+    if n1 > last:
+        raise ConfigError([f"{k1}: t1={t1} lies beyond the noise path, which covers "
+                           f"t <= {last * cfg.dt}"])
 
 
 def initial_field(rt: Runtime) -> np.ndarray:
@@ -111,22 +123,8 @@ def _outdir(rt: Runtime) -> Path:
     return out
 
 
-@contextlib.contextmanager
-def _keyed(keys: str):
-    """Put the config keys before the message of a ValueError raised in the block."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{keys}: {exc}") from None
-
-
 def cmd_simulate(rt: Runtime) -> int:
     cfg = rt.cfg
-    run = Run(rt.ctx, rt.forcing, cfg.dt)  # the path must cover t0 and t1 before any step
-    with _keyed("time.t1"):
-        run.end_step(cfg.t1)
-    with _keyed("time.t0"):
-        run.lift(grid_steps(cfg.t0, cfg.dt, "t0"))
     out = _outdir(rt)
     written = []
 
@@ -213,8 +211,6 @@ def cmd_pullback(rt: Runtime) -> int:
 
 def cmd_cocycle_check(rt: Runtime) -> int:
     cfg = rt.cfg
-    with _keyed("cocycle.s + cocycle.t"):  # the first leg runs from 0 to s + t
-        Run(rt.ctx, rt.forcing, cfg.dt).end_step(cfg.cocycle_s + cfg.cocycle_t)
     u0 = initial_field(rt)
     dev = cocycle_check(rt.ctx, rt.forcing, cfg.cocycle_s, cfg.cocycle_t, u0, cfg.dt)
     print(f"cocycle-check: s={cfg.cocycle_s} t={cfg.cocycle_t} deviation={dev:.3e}")
@@ -240,12 +236,12 @@ def cmd_validate(rt: Runtime) -> int:
     return 0
 
 
-def cmd_spectrum(rt: Runtime) -> int:
-    ctx = rt.ctx
-    print(f"lambda1 = {ctx.lambda1:.10g}")
+def cmd_spectrum(cfg: SimConfig) -> int:
+    vop = build_vertical_operator(make_profile(cfg.f0, n_table(cfg), cfg.nz), cfg.nz)
+    print(f"lambda1 = {compute_lambda1(vop):.10g}")
     print("m  mu_m")
-    for m in range(min(8, ctx.vop.nz)):
-        print(f"{m}  {ctx.vop.mu[m]:.10g}")
+    for m in range(min(8, vop.nz)):
+        print(f"{m}  {vop.mu[m]:.10g}")
     return 0
 
 
@@ -254,13 +250,10 @@ def cmd_gen_noise(cfg: SimConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = Path(cfg.noise_file) if cfg.noise_file else out / "noise.bin"
     if target.exists():
-        path = load_noise_path(target)
-        _check_noise_file(path, cfg)
-        path = extend_noise_path(path, cfg.noise_t_min, cfg.noise_t_max)
+        path = extend_noise_path(_load_noise_file(target, cfg), cfg.noise_t_min, cfg.noise_t_max)
         action = "extended"
     else:
-        path = make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise,
-                               cfg.noise_t_min, cfg.noise_t_max)
+        path = seeded_path(cfg)
         action = "created"
     save_noise_path(path, target)
     print(f"gen-noise: {action} {target} covering [{path.t_min}, {path.t_max}] "
@@ -268,12 +261,28 @@ def cmd_gen_noise(cfg: SimConfig) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """A subcommand: its handler, the ``config.RULE_GROUPS`` it reads, whether ``run`` takes
+    a Runtime (else the config), its first and last step on the noise path as
+    ((keys, t0), (keys, t1)), and the check or widening of the path once it is built."""
+
+    run: Callable
+    reads: tuple[str, ...] = ()
+    runtime: bool = True
+    span: Callable | None = None
+    preflight: Callable | None = None
+
+
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "pullback": cmd_pullback,
-    "cocycle-check": cmd_cocycle_check,
-    "validate": cmd_validate,
-    "spectrum": cmd_spectrum,
+    "simulate": Command(cmd_simulate, ("noise", "dt", "simulate"),
+                        span=lambda c: (("time.t0", c.t0), ("time.t1", c.t1))),
+    "pullback": Command(cmd_pullback, ("noise", "dt"), preflight=preflight_pullback),
+    "cocycle-check": Command(cmd_cocycle_check, ("noise", "dt", "cocycle"), span=lambda c: (
+        ("noise.file" if c.noise_file else "noise.t_min", 0.0),
+        ("cocycle.s + cocycle.t", c.cocycle_s + c.cocycle_t))),
+    "validate": Command(cmd_validate, ("noise",)),
+    "spectrum": Command(cmd_spectrum, runtime=False),
+    "gen-noise": Command(cmd_gen_noise, ("noise",), runtime=False),
 }
 
 
@@ -286,41 +295,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stochqg",
         description="Stochastic 3D quasigeostrophic simulator and attractor lab.")
-    parser.add_argument("command", choices=sorted(_COMMANDS) + ["gen-noise"])
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("config", nargs="?", help="key-value config file "
                         "(omit to use built-in defaults)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (repeatable)")
     args = parser.parse_args(argv)
-
+    command, set_up = _COMMANDS[args.command], False
     try:
         text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
         for item in args.set:
             text += "\n" + item.replace("=", " = ", 1)
-        cfg = parse_config(text)
-        if args.command == "gen-noise":
-            # Creates or extends the noise file; needs no operator tables.
-            return cmd_gen_noise(cfg)
-        rt = build_runtime(cfg)
-        if args.command == "pullback":
-            rt = preflight_pullback(rt)
-    except ConfigError as exc:
-        _error_record("config", str(exc), 1)
+        cfg = parse_config(text, command.reads)
+        if command.span and not cfg.noise_file:  # a seeded path is checked before set-up
+            check_span(cfg, seeded_path(cfg), command.span)
+        target = build_runtime(cfg) if command.runtime else cfg
+        if command.span and cfg.noise_file:  # a loaded one as soon as set-up has read it
+            check_span(cfg, target.forcing.path, command.span)
+        if command.preflight:
+            target = command.preflight(target)
+        set_up = True
+        return command.run(target)
+    except ConfigError as exc:  # one violation per line
+        _error_record("config", "\n".join(exc.violations), 1)
         return 1
-    except (OSError, ValueError) as exc:
-        _error_record("setup", str(exc), 1)
-        return 1
-
-    try:
-        return _COMMANDS[args.command](rt)
     except (CFLViolation, BlowupError) as exc:
         _error_record("numerical", str(exc), 2)
         return 2
-    except ValueError as exc:
-        _error_record("invalid-request", str(exc), 1)
-        return 1
-    except OSError as exc:
-        _error_record("io", str(exc), 1)
+    except (OSError, ValueError) as exc:
+        failed_in = "io" if isinstance(exc, OSError) else "invalid-request"
+        _error_record(failed_in if set_up else "setup", str(exc), 1)
         return 1
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .attractor import PullbackConfig, quad_steps
-from .forcing import (PeriodicFlux, grid_steps, make_noise_model,
+from .forcing import (NoisePath, PeriodicFlux, grid_steps, make_noise_model,
                       make_noise_path, shift_path, steps_per_noise)
 from .lift import BoundaryMode, mode_flux
 from .spectral import Grid, build_vertical_operator, compute_lambda1, make_profile
@@ -82,6 +82,8 @@ class SimConfig:
 
 # key in the document -> (attribute, type), in field order
 _SCHEMA = {f.metadata["key"]: (f.name, type(f.default)) for f in fields(SimConfig)}
+# Groups of rules that tie keys together, applied only for a command that reads their keys.
+RULE_GROUPS = ("noise", "dt", "simulate", "cocycle")
 
 
 def _parse_value(raw: str, typ, key: str, errors: list):
@@ -103,8 +105,8 @@ def _parse_value(raw: str, typ, key: str, errors: list):
     return val
 
 
-def parse_config(text: str) -> SimConfig:
-    """Parse and validate; raises ConfigError listing every violation."""
+def parse_config(text: str, reads=None) -> SimConfig:
+    """Parse and validate (see ``validate_config``); raises ConfigError listing every violation."""
     cfg = SimConfig()
     errors = []
     seen = set()
@@ -127,53 +129,52 @@ def parse_config(text: str) -> SimConfig:
         val = _parse_value(raw, typ, key, errors)
         if val is not None:
             setattr(cfg, attr, val)
-    errors.extend(validate_config(cfg))
+    errors.extend(validate_config(cfg, reads))
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
 def _by_key(errs: list, keys: str, rule, *args):
-    """``rule(*args)``, or None with its ValueError appended to ``errs`` after ``keys``."""
+    """``rule(*args)``, or None with its ValueError appended to ``errs``, after ``keys`` if any."""
     try:
         return rule(*args)
     except ValueError as exc:
-        errs.append(f"{keys}: {exc}")
+        errs.append(f"{keys}: {exc}" if keys else str(exc))
         return None
 
 
-def validate_config(cfg: SimConfig) -> list[str]:
-    """Every violation in ``cfg``.
-
-    A rule a library function enforces is checked by calling it (``_by_key``).
-    Written out here are the rules no library function owns, and those of
-    ``physics.nu`` and ``physics.beta``, whose owner ``build_context`` is too
-    costly to build at parse time.  Grid rules are skipped on an invalid grid.
+def validate_config(cfg: SimConfig, reads=None) -> list[str]:
+    """Every violation in ``cfg`` of the single-key rules and of the ``RULE_GROUPS`` in
+    ``reads`` (default: all), which tie keys together: the seeded noise path's window,
+    time.dt against noise.dt_noise, time.t0 < time.t1, and cocycle.s on the noise grid
+    with cocycle.t on the step grid.  A rule a library function enforces is checked by
+    calling it (``_by_key``); written out here are the rules no library function owns,
+    and those of ``physics.nu`` and ``physics.beta``, whose owner ``build_context`` is
+    too costly to build at parse time.  Grid rules are skipped on an invalid grid.
     """
+    reads = RULE_GROUPS if reads is None else reads
     errs = []
     if cfg.nu <= 0:
         errs.append("physics.nu: viscosity must be positive")
     if cfg.beta < 0:
         errs.append("physics.beta must be nonnegative")
-    if cfg.t0 >= cfg.t1:
+    if "simulate" in reads and cfg.t0 >= cfg.t1:
         errs.append("time.t0 must precede time.t1")
-    for key, val in (("cocycle.s", cfg.cocycle_s), ("cocycle.t", cfg.cocycle_t)):
-        if val < 0:
-            errs.append(f"{key} must be nonnegative")
-        elif cfg.dt > 0:
-            try:
-                grid_steps(val, cfg.dt, key)
-            except ValueError as exc:
-                errs.append(str(exc))
+    errs += [f"{key} must be nonnegative" for key, val in
+             (("cocycle.s", cfg.cocycle_s), ("cocycle.t", cfg.cocycle_t)) if val < 0]
     if cfg.snapshot_every < 0:
         errs.append("time.snapshot_every must be nonnegative")
     if cfg.init_kind not in ("zero", "eigenmode", "random"):
         errs.append("init.kind must be zero|eigenmode|random")
-    dt_ok = _by_key(errs, "time.dt, noise.dt_noise", steps_per_noise, cfg.dt, cfg.dt_noise)
-    path = _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", make_noise_path,
-                   cfg.seed, cfg.n_modes, cfg.dt_noise, cfg.noise_t_min, cfg.noise_t_max)
-    if path is not None:
+    dt_ok = _by_key(errs, "time.dt, noise.dt_noise", steps_per_noise, cfg.dt,
+                    cfg.dt_noise) if "dt" in reads else None
+    path = _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", seeded_path,
+                   cfg) if "noise" in reads else None
+    if "cocycle" in reads and path is not None:
         _by_key(errs, "cocycle.s, noise.dt_noise", shift_path, path, cfg.cocycle_s)
+    if "cocycle" in reads and dt_ok is not None:
+        _by_key(errs, "", grid_steps, cfg.cocycle_t, cfg.dt, "cocycle.t")
     pullback = _by_key(errs, "pullback.horizons, pullback.ensemble, pullback.sampling_rule, "
                        "pullback.leading_modes", pullback_config, cfg)
     n_of_z = _by_key(errs, "physics.N", n_table, cfg)
@@ -182,7 +183,7 @@ def validate_config(cfg: SimConfig) -> list[str]:
         return errs
     if n_of_z is not None:
         profile = _by_key(errs, "physics.f0, physics.N", make_profile, cfg.f0, n_of_z, cfg.nz)
-        if profile is not None and dt_ok is not None and cfg.quad_horizon:
+        if profile is not None and cfg.dt > 0 and cfg.quad_horizon:
             rate = cfg.nu * compute_lambda1(build_vertical_operator(profile, cfg.nz))
             _by_key(errs, "pullback.quad_horizon", quad_steps, rate, cfg.quad_horizon, cfg.dt)
     _by_key(errs, "noise.n_modes, noise.q0, noise.p, noise.tau_c", make_noise_model, grid,
@@ -199,6 +200,10 @@ def validate_config(cfg: SimConfig) -> list[str]:
 
 def n_table(cfg: SimConfig) -> np.ndarray:
     return np.array([float(v) for v in cfg.n_of_z.split(",")])
+
+
+def seeded_path(cfg: SimConfig) -> NoisePath:
+    return make_noise_path(cfg.seed, cfg.n_modes, cfg.dt_noise, cfg.noise_t_min, cfg.noise_t_max)
 
 
 def horizon_list(cfg: SimConfig) -> list[int]:

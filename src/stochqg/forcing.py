@@ -166,6 +166,13 @@ class NoisePath:
             j = hi
         return out
 
+    def covered_steps(self, dt: float) -> tuple[int, int, int]:
+        """(m, first, last): m steps of dt per noise step, and the first and last step whose
+        lift the path covers on its local clock, the last held at its last gridpoint."""
+        m = steps_per_noise(dt, self.dt_noise)
+        i0 = self.i0_abs - self.local_shift  # the first gridpoint on the local clock
+        return m, i0 * m, (i0 + self.n_steps + 1) * m - 1
+
     def abs_step(self, t: float) -> int:
         """Absolute step index of a local time on the noise grid."""
         j = grid_steps(t, self.dt_noise, "noise-grid time") + self.local_shift

@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .forcing import (ForcingSetup, check_byte_count, grid_steps, lift_columns, ou_series,
-                      steps_per_noise)
+from .forcing import ForcingSetup, check_byte_count, grid_steps, lift_columns, ou_series
 from .operators import (
     OperatorContext,
     apply_G,
@@ -79,9 +78,9 @@ class BlowupError(RuntimeError):
 class Run:
     """One trajectory: steps of ``dt`` under ``ctx`` and ``forcing``.
 
-    Built once per ``simulate`` call or xi* window, it resolves ``m`` (steps
-    per noise step) and ``first``..``last`` (the steps whose lift the noise
-    path covers) once; ``efac`` = e^{-nu lam dt} is made on first use.
+    Built once per ``simulate`` call or xi* window, it resolves ``m``,
+    ``first`` and ``last`` (``NoisePath.covered_steps``) once; ``efac`` =
+    e^{-nu lam dt} is made on first use.
     """
 
     ctx: OperatorContext
@@ -92,20 +91,8 @@ class Run:
     last: int = field(init=False)
 
     def __post_init__(self):
-        path = self.forcing.path
-        m = steps_per_noise(self.dt, path.dt_noise)
-        i0 = path.i0_abs - path.local_shift  # the path's first gridpoint on the local clock
-        last = (i0 + path.n_steps + 1) * m - 1  # the last step held at its last gridpoint
-        for name, value in (("m", m), ("first", i0 * m), ("last", last)):
+        for name, value in zip(("m", "first", "last"), self.forcing.path.covered_steps(self.dt)):
             object.__setattr__(self, name, value)
-
-    def end_step(self, t1: float) -> int:
-        """The step of t1, which must not lie beyond the path."""
-        n1 = grid_steps(t1, self.dt, "t1")
-        if n1 > self.last:
-            raise ValueError(f"t1={t1} lies beyond the noise path, which covers "
-                             f"t <= {self.last * self.dt}")
-        return n1
 
     @functools.cached_property
     def efac(self) -> np.ndarray:
@@ -314,7 +301,9 @@ def simulate(ctx: OperatorContext, forcing: ForcingSetup, u0: np.ndarray,
     if not t0 < t1:
         raise ValueError("t0 must precede t1")
     run = Run(ctx, forcing, dt)
-    n1 = run.end_step(t1)
+    n1 = grid_steps(t1, dt, "t1")
+    if n1 > run.last:
+        raise ValueError(f"t1={t1} lies beyond the noise path, which covers t <= {run.last * dt}")
     state = initial_state(run, u0, t0)
     del u0  # the state holds its own copy
     n_steps = n1 - state.n

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochqg import cli, integrator
+from stochqg import cli, config, forcing, integrator
 from stochqg.cli import build_runtime, initial_field, main
 from stochqg.config import (
     ConfigError,
@@ -336,7 +336,8 @@ class TestCLI:
     @pytest.mark.parametrize("setting, message", [
         ("cocycle.s=-1", "cocycle.s must be nonnegative"),
         ("cocycle.t=-0.5", "cocycle.t must be nonnegative"),
-        ("cocycle.s=0.03", "cocycle.s: 0.03 is not a multiple of the grid step 0.0625"),
+        ("cocycle.s=0.03", "cocycle.s, noise.dt_noise: shift s: 0.03 is not a multiple of the "
+                           "grid step 0.0625"),
         ("cocycle.t=1.01", "cocycle.t: 1.01 is not a multiple of the grid step 0.0625")])
     def test_bad_cocycle_time_exit_one(self, tmp_path, capsys, setting, message):
         rc = main(["cocycle-check", "--set", f"output.dir={tmp_path}", "--set", setting])
@@ -365,21 +366,22 @@ class TestCLI:
                                                       ("cocycle-check", "cocycle.t=100", 101.0)])
     def test_end_beyond_path_exit_one_before_stepping(self, tmp_path, capsys, monkeypatch,
                                                       command, setting, t1):
-        # The default path covers up to t = 16; nothing is stepped or written.
-        steps = []
+        # The default path covers up to t = 16; nothing is built, stepped or written.
+        steps, built = [], []
 
         def counted(*args, **kwargs):
             steps.append(1)
             return step(*args, **kwargs)
 
-        step = integrator.step
+        step, build = integrator.step, cli.build_runtime
         monkeypatch.setattr(integrator, "step", counted)
+        monkeypatch.setattr(cli, "build_runtime", lambda cfg: built.append(1) or build(cfg))
         rc = main([command, "--set", f"output.dir={tmp_path}", "--set", setting,
                    "--set", "time.snapshot_every=64"])
         err = capsys.readouterr().err
-        assert rc == 1 and "Traceback" not in err and steps == []
+        assert rc == 1 and "Traceback" not in err and steps == [] and built == []
         record = json.loads(err.strip().splitlines()[-1])
-        assert record["error"] == "invalid-request"
+        assert record["error"] == "config"
         keys = {"simulate": "time.t1", "cocycle-check": "cocycle.s + cocycle.t"}[command]
         assert record["message"].startswith(
             f"{keys}: t1={t1} lies beyond the noise path, which covers t <= 16.0")
@@ -631,3 +633,101 @@ class TestInvalidInputMatrix:
         assert rc == 1 and record["error"] == "config" and key in record["message"]
         assert ("viscosity must be positive" in record["message"]) == with_nu
         assert built == [] and not out.exists()
+
+
+NOISE_KEYS = "seed, noise.dt_noise, noise.t_min, noise.t_max: "
+# (command, settings, the start of one line of its `config` record, or None for exit 0).
+# "{noise}" stands for a noise file that covers [-4, 4], "{missing}" for a file that is not there.
+READS = [
+    # A command does not check keys it does not read.
+    ("spectrum", {"time.dt": 0.3, "noise.dt_noise": 0.3}, None),
+    ("simulate", {"time.dt": 0.5, "noise.dt_noise": 2, "time.t1": 2}, None),
+    ("gen-noise", {"time.dt": 0.05}, None),
+    ("validate", {"time.t1": -1, "noise.t_min": -4, "noise.t_max": 4}, None),
+    ("validate", {"cocycle.s": 0.03, "noise.t_min": -4, "noise.t_max": 4}, None),
+    ("spectrum", {"time.t1": -1}, None),
+    ("gen-noise", {"time.t1": -1}, None),
+    ("spectrum", {"noise.file": "{missing}"}, None),
+    # Each cross-key rule fails at parse under every command that reads its keys.
+    *[(command, {"noise.t_min": -32.03}, NOISE_KEYS + "t_min: -32.03 is not a multiple")
+      for command in ("simulate", "pullback", "cocycle-check", "validate", "gen-noise")],
+    *[(command, {"time.dt": 0.05}, "time.dt, noise.dt_noise: dt must divide dt_noise")
+      for command in ("simulate", "pullback", "cocycle-check")],
+    ("simulate", {"time.t1": -1}, "time.t0 must precede time.t1"),
+    ("cocycle-check", {"cocycle.s": 0.03}, "cocycle.s, noise.dt_noise: shift s: 0.03 is not"),
+    ("cocycle-check", {"cocycle.t": 1.01}, "cocycle.t: 1.01 is not a multiple"),
+    # Each command's span is checked by key: a seeded path's before set-up, a
+    # noise file's once set-up has loaded it.
+    ("simulate", {"time.t1": 100},
+     "time.t1: t1=100.0 lies beyond the noise path, which covers t <= 16.0"),
+    ("simulate", {"time.t1": 4.01}, "time.t1: 4.01 is not a multiple of the grid step 0.0625"),
+    ("simulate", {"time.t0": -70, "time.t1": 1},
+     "time.t0: time -70.0 outside path range [-64.0, 16.0]"),
+    ("cocycle-check", {"cocycle.t": 100},
+     "cocycle.s + cocycle.t: t1=101.0 lies beyond the noise path, which covers t <= 16.0"),
+    ("cocycle-check", {"noise.t_min": 1}, "noise.t_min: time 0.0 outside path range [1.0, 16.0]"),
+    ("simulate", {"noise.file": "{noise}", "time.t1": 100},
+     "time.t1: t1=100.0 lies beyond the noise path, which covers t <= 4.0"),
+    ("cocycle-check", {"noise.file": "{noise}", "cocycle.t": 100},
+     "cocycle.s + cocycle.t: t1=101.0 lies beyond the noise path, which covers t <= 4.0"),
+]
+
+
+class TestCommandReads:
+    """Each command checks the cross-key rules and the span of the keys it reads, and no others."""
+
+    @pytest.mark.parametrize("command, settings, expect", READS,
+                             ids=[f"{c}:" + ",".join(f"{k}={v}" for k, v in s.items())
+                                  for c, s, _ in READS])
+    def test_command_checks_what_it_reads(self, tmp_path, capsys, monkeypatch, command,
+                                          settings, expect):
+        noise = tmp_path / "noise.bin"
+        if "{noise}" in settings.values():
+            assert main(["gen-noise", "--set", f"noise.file={noise}", "--set", "noise.t_min=-4",
+                         "--set", "noise.t_max=4", "--set", f"output.dir={tmp_path}"]) == 0
+        steps, built = [], []
+        step, build = integrator.step, cli.build_runtime
+        monkeypatch.setattr(integrator, "step", lambda *a, **k: steps.append(1) or step(*a, **k))
+        monkeypatch.setattr(cli, "build_runtime", lambda cfg: built.append(1) or build(cfg))
+        out, files = tmp_path / "out", {"{noise}": noise, "{missing}": tmp_path / "missing.bin"}
+        args = [command, "--set", f"output.dir={out}"]
+        for key, value in settings.items():
+            args += ["--set", f"{key}={files.get(value, value)}"]
+        capsys.readouterr()
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if expect is None:
+            assert rc == 0, err
+            return
+        record = json.loads(err.strip().splitlines()[-1])
+        assert rc == 1 and record["error"] == "config"
+        assert any(line.startswith(expect) for line in record["message"].splitlines()), record
+        assert steps == [] and not out.exists()
+        assert built == ([1] if "noise.file" in settings else [])
+
+    def test_spectrum_builds_no_noise_path_or_forcing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("make_noise_path", "load_noise_path", "build_forcing"):
+            def counted(*args, _name=name, _fn=getattr(forcing, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            for module in (forcing, config, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        assert main(["spectrum", "--set", f"output.dir={tmp_path}"]) == 0
+        assert calls == []
+        # The counters see the calls of a command that builds the forcing.
+        assert main(["simulate", "--set", f"output.dir={tmp_path}", "--set", "time.t1=0.125"]) == 0
+        assert set(calls) == {"make_noise_path", "build_forcing"}
+
+    def test_each_broken_rule_reported_once(self, tmp_path, capsys):
+        # cocycle.s off the noise grid is one rule, which shift_path checks.
+        with pytest.raises(ConfigError) as err:
+            parse_config("cocycle.s = 0.03\n")
+        assert [v for v in err.value.violations if "cocycle.s" in v] == [
+            "cocycle.s, noise.dt_noise: shift s: 0.03 is not a multiple of the grid step 0.0625"]
+        assert main(["cocycle-check", "--set", f"output.dir={tmp_path}",
+                     "--set", "cocycle.s=0.03"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert len([line for line in record["message"].splitlines() if "cocycle.s" in line]) == 1

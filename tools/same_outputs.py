@@ -26,7 +26,8 @@ Producers:
 - ``simulate`` on the 16x48x9 grid, whose ny = 48 is not a power of two, so
   an FFT call whose bits depend on the length of the y pass changes it:
   ``diagnostics.csv`` and the snapshots;
-- ``cocycle-check`` and ``validate`` with built-in defaults: their stdout;
+- ``cocycle-check``, ``validate`` and ``spectrum`` with built-in defaults:
+  their stdout;
 - ``jacobian`` of seeded physical fields at 32x32x17 (one level block),
   64x64x33 (blocks of 8 levels and a 1-level tail), 64x64x17 (8, 8 and 1
   levels), 128x128x17 (2-level blocks) and 16x48x9 (one block, ny not a
@@ -198,7 +199,7 @@ class Tree:
                                               "--set", "output.dir=out"], work))
             files(name, work / "out")
 
-        for command in ("cocycle-check", "validate"):
+        for command in ("cocycle-check", "validate", "spectrum"):
             code, stdout = self.run([py, "-m", "stochqg.cli", command], self.workdir(command))
             text(f"{command} stdout", code, stdout)
             if command == "cocycle-check":

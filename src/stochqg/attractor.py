@@ -334,3 +334,19 @@ def flow_estimate(ctx: OperatorContext, forcing: ForcingSetup,
         simulate(ctx, forcing, u, 0.0, n_total * dt, dt, snapshot_every=n_rec,
                  record_diagnostics=False, snapshot_sink=lambda t, v: norms[-1].append(norm_h(ctx, v)))
     return [(i * n_rec * dt, max(r)) for i, r in enumerate(zip(*norms))]
+
+
+def growth_slope(ctx: OperatorContext, forcing: ForcingSetup, estimate: AttractorEstimate,
+                 dt: float) -> float:
+    """Tail slope of log+ max ||u||_H over A(theta_t omega), flowed forward from 0.
+
+    The flow records 50 times after 0, at the widest spacing of steps that fits
+    in what ``forcing.path`` covers after 0; NaN when that is fewer than 50 steps.
+    """
+    t_max = forcing.path.t_max
+    rec_steps = max(1, int(np.floor(t_max / 50.0 / dt)))
+    t_end = 50 * rec_steps * dt
+    if not 0 < t_end <= t_max:
+        return float("nan")
+    series = flow_estimate(ctx, forcing, estimate, dt, t_end, record_every=rec_steps * dt)
+    return growth_diagnostic(series[1:]).slope

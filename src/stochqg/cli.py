@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .attractor import (
     cocycle_check,
-    flow_estimate,
-    growth_diagnostic,
+    growth_slope,
     pullback_run,
     pullback_window,
     sample_initial_ball,
@@ -145,33 +144,21 @@ def cmd_simulate(rt: Runtime) -> int:
     return 0
 
 
-def _growth_plan(t_max: float, dt: float) -> tuple[int, float] | None:
-    """(steps per record, end time) of the growth flow from 0, or None.
-
-    The flow records >= 50 times over whatever the path covers after 0.
-    """
-    rec_steps = max(1, int(np.floor(t_max / 50.0 / dt)))
-    t_end = 50 * rec_steps * dt
-    return (rec_steps, t_end) if 0 < t_end <= t_max else None
-
-
 def preflight_pullback(rt: Runtime) -> Runtime:
-    """Check that the noise path covers the whole pullback plan.
+    """Check that the noise path covers every horizon's xi* quadrature window.
 
-    The plan reads every horizon's xi* quadrature window and then the growth
-    flow window.  A path derived from the seed is widened to cover it (only
-    when it does not, so runs that fit are unchanged); a path loaded from a
-    noise file that falls short raises ConfigError.
+    A path derived from the seed is widened to cover them (only when it does
+    not, so runs that fit are unchanged); a path loaded from a noise file that
+    falls short raises ConfigError.  The growth flow after 0 reads only what
+    the path covers, so it needs no check.
     """
     cfg, path = rt.cfg, rt.forcing.path
     t_lo, t_hi = pullback_window(pullback_config(cfg), rt.ctx, cfg.dt, path.dt_noise)
-    growth = _growth_plan(path.t_max, cfg.dt)
-    if growth is not None:
-        t_hi = max(t_hi, growth[1])
     if path.t_min <= t_lo and t_hi <= path.t_max:
         return rt
     if cfg.noise_file:
-        raise ConfigError([f"noise file {cfg.noise_file} covers [{path.t_min}, {path.t_max}], "
+        raise ConfigError([f"noise.file, pullback.horizons, pullback.quad_horizon: noise file "
+                           f"{cfg.noise_file} covers [{path.t_min}, {path.t_max}], "
                            f"the pullback plan needs [{t_lo}, {t_hi}]"])
     wide = extend_noise_path(path, min(t_lo, path.t_min), max(t_hi, path.t_max))
     return replace(rt, forcing=replace(rt.forcing, path=wide))
@@ -181,17 +168,7 @@ def cmd_pullback(rt: Runtime) -> int:
     cfg = rt.cfg
     out = _outdir(rt)
     est = pullback_run(pullback_config(cfg), rt.ctx, rt.forcing, cfg.dt)
-
-    # Growth slope from flowing the largest-horizon estimate forward over
-    # whatever the path still covers, with >= 50 recorded times.
-    slope = float("nan")
-    growth = _growth_plan(rt.forcing.path.t_max, cfg.dt)
-    if growth is not None:
-        rec_steps, t_end = growth
-        series = flow_estimate(rt.ctx, rt.forcing, est, cfg.dt, t_end,
-                               record_every=rec_steps * cfg.dt)
-        slope = growth_diagnostic(series[1:]).slope
-
+    slope = growth_slope(rt.ctx, rt.forcing, est, cfg.dt)
     with open(out / "attractor_report.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# config={rt.chash} version={__version__}\n")
         fh.write("T,diameter,hausdorff_prev,xi_star,slope\n")
@@ -276,13 +253,13 @@ class Command(NamedTuple):
 _COMMANDS = {
     "simulate": Command(cmd_simulate, ("noise", "dt", "simulate"),
                         span=lambda c: (("time.t0", c.t0), ("time.t1", c.t1))),
-    "pullback": Command(cmd_pullback, ("noise", "dt"), preflight=preflight_pullback),
+    "pullback": Command(cmd_pullback, ("noise", "dt", "pullback"), preflight=preflight_pullback),
     "cocycle-check": Command(cmd_cocycle_check, ("noise", "dt", "cocycle"), span=lambda c: (
         ("noise.file" if c.noise_file else "noise.t_min", 0.0),
         ("cocycle.s + cocycle.t", c.cocycle_s + c.cocycle_t))),
     "validate": Command(cmd_validate, ("noise",)),
     "spectrum": Command(cmd_spectrum, runtime=False),
-    "gen-noise": Command(cmd_gen_noise, ("noise",), runtime=False),
+    "gen-noise": Command(cmd_gen_noise, ("noise", "window"), runtime=False),
 }
 
 

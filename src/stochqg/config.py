@@ -83,7 +83,7 @@ class SimConfig:
 # key in the document -> (attribute, type), in field order
 _SCHEMA = {f.metadata["key"]: (f.name, type(f.default)) for f in fields(SimConfig)}
 # Groups of rules that tie keys together, applied only for a command that reads their keys.
-RULE_GROUPS = ("noise", "dt", "simulate", "cocycle")
+RULE_GROUPS = ("noise", "window", "dt", "simulate", "cocycle", "pullback")
 
 
 def _parse_value(raw: str, typ, key: str, errors: list):
@@ -146,12 +146,13 @@ def _by_key(errs: list, keys: str, rule, *args):
 
 def validate_config(cfg: SimConfig, reads=None) -> list[str]:
     """Every violation in ``cfg`` of the single-key rules and of the ``RULE_GROUPS`` in
-    ``reads`` (default: all), which tie keys together: the seeded noise path's window,
-    time.dt against noise.dt_noise, time.t0 < time.t1, and cocycle.s on the noise grid
-    with cocycle.t on the step grid.  A rule a library function enforces is checked by
-    calling it (``_by_key``); written out here are the rules no library function owns,
-    and those of ``physics.nu`` and ``physics.beta``, whose owner ``build_context`` is
-    too costly to build at parse time.  Grid rules are skipped on an invalid grid.
+    ``reads`` (default: all), which tie keys together: ``noise`` seed and the seeded window,
+    which a noise file replaces unless ``window`` is read; ``dt`` time.dt against
+    noise.dt_noise; ``simulate`` time.t0 < time.t1; ``cocycle`` cocycle.s on the noise grid,
+    cocycle.t on the step grid; ``pullback`` the horizons on the step grid.  A rule a library
+    function enforces is checked by calling it (``_by_key``); written out here are the rules
+    no library function owns, and those of ``physics.nu`` and ``physics.beta``, whose owner
+    ``build_context`` is too costly to build at parse time.  Grid rules need a valid grid.
     """
     reads = RULE_GROUPS if reads is None else reads
     errs = []
@@ -169,14 +170,19 @@ def validate_config(cfg: SimConfig, reads=None) -> list[str]:
         errs.append("init.kind must be zero|eigenmode|random")
     dt_ok = _by_key(errs, "time.dt, noise.dt_noise", steps_per_noise, cfg.dt,
                     cfg.dt_noise) if "dt" in reads else None
-    path = _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", seeded_path,
-                   cfg) if "noise" in reads else None
+    # A one-step window in place of a noise file's keeps the seed and cocycle.s rules.
+    t_lo, t_hi = ((0.0, cfg.dt_noise) if cfg.noise_file and "window" not in reads
+                  else (cfg.noise_t_min, cfg.noise_t_max))
+    path = _by_key(errs, "seed, noise.dt_noise, noise.t_min, noise.t_max", make_noise_path,
+                   cfg.seed, cfg.n_modes, cfg.dt_noise, t_lo, t_hi) if "noise" in reads else None
     if "cocycle" in reads and path is not None:
         _by_key(errs, "cocycle.s, noise.dt_noise", shift_path, path, cfg.cocycle_s)
     if "cocycle" in reads and dt_ok is not None:
         _by_key(errs, "", grid_steps, cfg.cocycle_t, cfg.dt, "cocycle.t")
     pullback = _by_key(errs, "pullback.horizons, pullback.ensemble, pullback.sampling_rule, "
                        "pullback.leading_modes", pullback_config, cfg)
+    for T in pullback.horizons if "pullback" in reads and dt_ok and pullback else ():
+        _by_key(errs, "pullback.horizons", grid_steps, -T, cfg.dt, f"horizon {T}")
     n_of_z = _by_key(errs, "physics.N", n_table, cfg)
     grid = _by_key(errs, "grid.nx, grid.ny, grid.nz", Grid, cfg.nx, cfg.ny, cfg.nz)
     if grid is None:

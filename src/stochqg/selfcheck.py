@@ -127,7 +127,7 @@ def run_battery(ctx, forcing: ForcingSetup) -> list[tuple[str, bool, str]]:
     decay_err = np.max(np.abs(st1.u - np.exp(-ctx.nu * lam * dt) * u0))
     check("eigenmode integrating-factor decay", decay_err < 1e-12, f"err={decay_err:.2e}")
 
-    t_end = min(path.t_min + 2.0, path.t_max)
+    t_end = path.t_min + dt * min(round(2.0 / dt), path.n_steps)  # on the step grid
     if t_end > path.t_min:
         r1 = simulate(ctx, forcing, 0.1 * u0, path.t_min, t_end, dt)
         r2 = simulate(ctx, forcing, 0.1 * u0, path.t_min, t_end, dt)

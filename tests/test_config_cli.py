@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochqg import cli, config, forcing, integrator
+from stochqg import attractor, cli, config, forcing, integrator
 from stochqg.cli import build_runtime, initial_field, main
 from stochqg.config import (
     ConfigError,
@@ -202,6 +202,14 @@ class TestCLI:
         assert rc == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_validate_ends_its_runs_on_the_step_grid(self, capsys):
+        # 2 is no multiple of dt_noise = 0.3, so the battery's runs end 7 steps after t_min.
+        rc = main(["validate", "--set", "time.dt=0.3", "--set", "noise.dt_noise=0.3",
+                   "--set", "noise.t_min=-30", "--set", "noise.t_max=15"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "validate: 16/16 checks passed" in captured.out
 
     def test_validate_flags_asymmetric_vertical_operator(self):
         rt = build_runtime(parse_config("noise.t_min = -4\nnoise.t_max = 4\n"))
@@ -545,6 +553,41 @@ class TestCLI:
         assert len(lines) == 6  # comment, header, horizons 2, 4, 8, 16
         assert all(np.isfinite(float(row.split(",")[1])) for row in lines[2:])
 
+    @pytest.mark.parametrize("settings", [
+        {"noise.q0": 100, "physics.nu": 2, "time.dt": 0.0625, "noise.dt_noise": 0.125,
+         "noise.t_min": -64, "noise.t_max": 16},
+        {"noise.t_max": 2},
+    ], ids=["nonzero slope", "nan slope"])
+    def test_pullback_slope_column(self, tmp_path, capsys, settings):
+        # The slope column is growth_slope's, and equals flow_estimate plus growth_diagnostic
+        # over 50 records at the widest spacing that fits in the path after 0, else NaN.
+        settings = {"grid.nx": 8, "grid.ny": 8, "grid.nz": 5, **settings,
+                    "output.dir": tmp_path / "pb"}
+        args = ["pullback"]
+        for key, value in settings.items():
+            args += ["--set", f"{key}={value}"]
+        assert main(args) == 0
+        rows = (tmp_path / "pb" / "attractor_report.csv").read_text().splitlines()[2:]
+        slopes = {row.split(",")[4] for row in rows}
+        assert len(rows) == 4 and len(slopes) == 1
+        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        cfg = parse_config(text)
+        rt = cli.preflight_pullback(build_runtime(cfg))
+        est = attractor.pullback_run(config.pullback_config(cfg), rt.ctx, rt.forcing, cfg.dt)
+        t_max = rt.forcing.path.t_max
+        rec_steps = max(1, int(np.floor(t_max / 50.0 / cfg.dt)))
+        t_end = 50 * rec_steps * cfg.dt
+        if 0 < t_end <= t_max:
+            series = attractor.flow_estimate(rt.ctx, rt.forcing, est, cfg.dt, t_end,
+                                             record_every=rec_steps * cfg.dt)
+            expect = attractor.growth_diagnostic(series[1:]).slope
+            assert expect != 0.0
+        else:
+            expect = float("nan")
+        slope = attractor.growth_slope(rt.ctx, rt.forcing, est, cfg.dt)
+        assert np.float64(slope).tobytes() == np.float64(expect).tobytes()
+        assert slopes == {f"{expect:.17g}"}
+
     def test_pullback_short_noise_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "noise.bin"
         assert main(["gen-noise", "--set", f"output.dir={tmp_path}",
@@ -557,7 +600,9 @@ class TestCLI:
         assert rc == 1
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "config"
-        assert "covers [-64.0, 16.0], the pullback plan needs [-184.5, 15.625]" in record["message"]
+        keys = "noise.file, pullback.horizons, pullback.quad_horizon: "
+        assert record["message"].startswith(keys)
+        assert "covers [-64.0, 16.0], the pullback plan needs [-184.5, 0.0]" in record["message"]
         assert not (tmp_path / "pb").exists()
 
 
@@ -670,6 +715,21 @@ READS = [
      "time.t1: t1=100.0 lies beyond the noise path, which covers t <= 4.0"),
     ("cocycle-check", {"noise.file": "{noise}", "cocycle.t": 100},
      "cocycle.s + cocycle.t: t1=101.0 lies beyond the noise path, which covers t <= 4.0"),
+    # The pullback horizons lie on the time.dt grid.
+    ("pullback", {"time.dt": 0.3, "noise.dt_noise": 0.3, "noise.t_min": -30, "noise.t_max": 15},
+     "pullback.horizons: horizon 2: -2 is not a multiple of the grid step 0.3"),
+    # A noise file replaces the seeded window, except for gen-noise, which extends the file to
+    # it; seed and cocycle.s keep their rules.
+    *[(command, {"noise.file": "{noise}", "noise.t_min": -32.03, "time.t1": 1}, None)
+      for command in ("simulate", "cocycle-check", "validate")],
+    ("pullback", {"noise.file": "{noise}", "noise.t_min": -32.03},
+     "noise.file, pullback.horizons, pullback.quad_horizon: noise file "),
+    ("gen-noise", {"noise.file": "{noise}", "noise.t_min": -32.03},
+     NOISE_KEYS + "t_min: -32.03 is not a multiple"),
+    ("simulate", {"noise.file": "{noise}", "seed": -1},
+     NOISE_KEYS + "seed must be a nonnegative 63-bit integer"),
+    ("cocycle-check", {"noise.file": "{noise}", "cocycle.s": 0.03},
+     "cocycle.s, noise.dt_noise: shift s: 0.03 is not"),
 ]
 
 
@@ -704,7 +764,9 @@ class TestCommandReads:
         assert rc == 1 and record["error"] == "config"
         assert any(line.startswith(expect) for line in record["message"].splitlines()), record
         assert steps == [] and not out.exists()
-        assert built == ([1] if "noise.file" in settings else [])
+        # Only what a loaded file covers is checked after set-up; every other rule at parse.
+        after_setup = "which covers" in expect or expect.startswith("noise.file,")
+        assert built == ([1] if after_setup and "noise.file" in settings else [])
 
     def test_spectrum_builds_no_noise_path_or_forcing(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -26,6 +26,11 @@ Producers:
 - ``simulate`` on the 16x48x9 grid, whose ny = 48 is not a power of two, so
   an FFT call whose bits depend on the length of the y pass changes it:
   ``diagnostics.csv`` and the snapshots;
+- ``pullback`` at 8x8x5 with the other defaults, whose seeded path is
+  widened from -64 to -184.5 for the xi* windows, and at 8x8x5 with
+  ``noise.q0 = 100``, ``physics.nu = 2`` and ``noise.dt_noise = 0.125``,
+  whose growth slope is nonzero: stdout, ``attractor_report.csv`` and the
+  endpoint snapshots;
 - ``cocycle-check``, ``validate`` and ``spectrum`` with built-in defaults:
   their stdout;
 - ``jacobian`` of seeded physical fields at 32x32x17 (one level block),
@@ -66,17 +71,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sim64_diag", "pullback32", "cli128_io")
 SEEDS = (1, 2, 3)
-# name -> simulate arguments; each writes its artifacts to out/.
-SIMULATE_RUNS = {
-    "simulate dt_noise/4": ("--set", "time.dt=0.015625", "--set", "time.t1=1",
+# name -> command and arguments; each writes its artifacts to out/.
+CLI_RUNS = {
+    "simulate dt_noise/4": ("simulate", "--set", "time.dt=0.015625", "--set", "time.t1=1",
                             "--set", "init.kind=random", "--set", "periodic.amplitude=0.5",
                             "--set", "time.snapshot_every=16"),
-    "simulate 48x16x9": ("--set", "grid.nx=48", "--set", "grid.ny=16", "--set", "grid.nz=9",
-                         "--set", "init.kind=random", "--set", "noise.n_modes=120",
-                         "--set", "time.t1=1", "--set", "time.snapshot_every=8"),
-    "simulate 16x48x9": ("--set", "grid.nx=16", "--set", "grid.ny=48", "--set", "grid.nz=9",
-                         "--set", "init.kind=random", "--set", "time.t1=1",
+    "simulate 48x16x9": ("simulate", "--set", "grid.nx=48", "--set", "grid.ny=16",
+                         "--set", "grid.nz=9", "--set", "init.kind=random",
+                         "--set", "noise.n_modes=120", "--set", "time.t1=1",
                          "--set", "time.snapshot_every=8"),
+    "simulate 16x48x9": ("simulate", "--set", "grid.nx=16", "--set", "grid.ny=48",
+                         "--set", "grid.nz=9", "--set", "init.kind=random", "--set", "time.t1=1",
+                         "--set", "time.snapshot_every=8"),
+    "pullback 8x8x5": ("pullback", "--set", "grid.nx=8", "--set", "grid.ny=8",
+                       "--set", "grid.nz=5"),
+    "pullback q0=100": ("pullback", "--set", "grid.nx=8", "--set", "grid.ny=8",
+                        "--set", "grid.nz=5", "--set", "noise.q0=100", "--set", "physics.nu=2",
+                        "--set", "noise.dt_noise=0.125"),
 }
 # Shown for information, not compared: metric -> (unit, format).
 INFO_METRICS = {"peak_rss_mb": ("MB", ".1f"), "setup_s": ("s", ".4f")}
@@ -193,9 +204,9 @@ class Tree:
         text("readme stdout", *self.run(["sh", "-e", "-c", script], readme))
         files("readme", readme)
 
-        for name, args in SIMULATE_RUNS.items():
+        for name, args in CLI_RUNS.items():
             work = self.workdir(name.replace(" ", "_").replace("/", "_"))
-            text(f"{name} stdout", *self.run([py, "-m", "stochqg.cli", "simulate", *args,
+            text(f"{name} stdout", *self.run([py, "-m", "stochqg.cli", *args,
                                               "--set", "output.dir=out"], work))
             files(name, work / "out")
 
